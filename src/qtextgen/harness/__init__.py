@@ -5,6 +5,7 @@ from .benchmark import (
     PER_DATASET_COLUMNS,
     BenchmarkResult,
     benchmark_matrix,
+    cell_seed,
     run_cell,
     write_tables,
 )
@@ -21,6 +22,7 @@ __all__ = [
     "RunConfig",
     "TrainLog",
     "benchmark_matrix",
+    "cell_seed",
     "evaluate_model",
     "fit",
     "load_checkpoint",

@@ -1,8 +1,9 @@
 """The model x dataset benchmark matrix and its table emission.
 
 Cells run serially in a fixed order; each cell derives its own random stream
-from the run seed xor its matrix index, so results do not depend on which
-other cells ran.  A cell failure is recorded and the matrix continues.
+from the run seed, its dataset name and its architecture (``cell_seed``), so
+its results do not depend on which other cells are configured or ran.  A cell
+failure is recorded and the matrix continues.
 Emitted files (per-dataset CSVs, the overall CSV, reports.json) are
 deterministic byte-for-byte under a fixed (seed, config).
 """
@@ -28,6 +29,7 @@ __all__ = [
     "PER_DATASET_COLUMNS",
     "OVERALL_COLUMNS",
     "BenchmarkResult",
+    "cell_seed",
     "run_cell",
     "benchmark_matrix",
     "write_tables",
@@ -40,6 +42,11 @@ class BenchmarkResult:
     logs: dict = field(default_factory=dict)            # (dataset, arch) -> TrainLog
     errors: dict = field(default_factory=dict)          # (dataset, arch) -> message
     files: list[Path] = field(default_factory=list)
+
+
+def cell_seed(seed: int, dataset: str, arch: str) -> int:
+    """The seed of one matrix cell; the same whichever other cells run."""
+    return derive_seed(seed, "cell", dataset, arch)
 
 
 def run_cell(arch: str, dataset: Dataset, cfg: RunConfig, cell_seed: int):
@@ -57,11 +64,10 @@ def benchmark_matrix(cfg: RunConfig, progress=None) -> BenchmarkResult:
         dataset = datasets[dataset_name]
         for mi, arch in enumerate(cfg.models):
             cell_index = di * len(cfg.models) + mi
-            cell_seed = cfg.seed ^ cell_index
             if progress is not None:
                 progress(f"[{cell_index + 1}/{len(cfg.datasets) * len(cfg.models)}] {arch} on {dataset_name}")
             try:
-                _, log, report = run_cell(arch, dataset, cfg, cell_seed)
+                _, log, report = run_cell(arch, dataset, cfg, cell_seed(cfg.seed, dataset_name, arch))
                 result.reports.append(report)
                 result.logs[(dataset_name, arch)] = log
             except Exception as err:  # cell failures must not kill the matrix

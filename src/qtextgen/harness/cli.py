@@ -16,7 +16,7 @@ from ..corpus import BOS_ID, EOS_ID, save_dataset, synthesize_datasets, train_va
 from ..metrics import GenerationSample, MetricsReport
 from ..models import ARCHITECTURES, generate
 from ..numerics import Rng, derive_seed
-from .benchmark import BenchmarkResult, benchmark_matrix, write_tables
+from .benchmark import BenchmarkResult, benchmark_matrix, cell_seed, write_tables
 from .checkpoint import load_checkpoint, restore_model, save_checkpoint
 from .config import RunConfig, load_config
 from .evaluate import evaluate_model
@@ -91,12 +91,6 @@ def _ckpt_path(cfg: RunConfig, args) -> Path:
     return Path(cfg.out_dir) / f"{args.model}_{args.dataset}.ckpt.json"
 
 
-def _cell_seed(cfg: RunConfig, arch: str, dataset_name: str) -> int:
-    di = cfg.datasets.index(dataset_name) if dataset_name in cfg.datasets else 0
-    mi = cfg.models.index(arch) if arch in cfg.models else 0
-    return cfg.seed ^ (di * len(cfg.models) + mi)
-
-
 def cmd_synth_data(args) -> int:
     cfg = _run_config(args)
     out = Path(cfg.out_dir) / "data"
@@ -109,7 +103,7 @@ def cmd_synth_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _run_config(args)
     dataset = _dataset_for(cfg, args.dataset)
-    model, log, _ = train_on_dataset(args.model, dataset, cfg, _cell_seed(cfg, args.model, args.dataset))
+    model, log, _ = train_on_dataset(args.model, dataset, cfg, cell_seed(cfg.seed, args.dataset, args.model))
     ckpt = save_checkpoint(_ckpt_path(cfg, args), model, epoch=len(log.train_losses))
     log_path = Path(cfg.out_dir) / f"{args.model}_{args.dataset}.trainlog.json"
     log_path.write_text(json.dumps(log.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -136,7 +130,7 @@ def cmd_evaluate(args) -> int:
     dataset = _dataset_for(cfg, args.dataset)
     model = restore_model(load_checkpoint(_ckpt_path(cfg, args)))
     _, val_set = train_val_split(dataset, cfg.train_fraction, seed=cfg.seed)
-    rng = Rng(derive_seed(_cell_seed(cfg, args.model, args.dataset), "decode", args.model, args.dataset))
+    rng = Rng(derive_seed(cell_seed(cfg.seed, args.dataset, args.model), "decode", args.model, args.dataset))
     report = evaluate_model(model, val_set, dataset, decode=cfg.decode, temperature=cfg.temperature, rng=rng)
     path = Path(cfg.out_dir) / f"{args.model}_{args.dataset}.metrics.json"
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -7,7 +7,10 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from ..corpus import DATASET_NAMES
-from ..models import ARCHITECTURES
+from ..models import ARCHITECTURES, ModelConfig
+
+# model_config_for sets these ModelConfig fields itself
+_OVERRIDABLE = {f.name for f in fields(ModelConfig)} - {"arch", "vocab_size", "seed"}
 
 __all__ = ["RunConfig", "load_config"]
 
@@ -53,6 +56,13 @@ class RunConfig:
             raise ValueError(f"decode must be 'greedy' or 'sample', got {self.decode!r}")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+        if not self.learning_rate > 0:
+            raise ValueError("learning rates must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ValueError("adam_eps must be positive")
         self.datasets = tuple(self.datasets)
         self.models = tuple(self.models)
         unknown = set(self.datasets) - set(DATASET_NAMES)
@@ -61,9 +71,13 @@ class RunConfig:
         unknown = set(self.models) - set(ARCHITECTURES)
         if unknown:
             raise ValueError(f"unknown models {sorted(unknown)}; available: {ARCHITECTURES}")
-        for arch in self.model_overrides:
+        for arch, overrides in self.model_overrides.items():
             if arch not in ARCHITECTURES:
                 raise ValueError(f"model_overrides for unknown architecture {arch!r}")
+            unknown = set(overrides) - _OVERRIDABLE
+            if unknown:
+                raise ValueError(f"model_overrides for {arch!r} name unknown or fixed fields {sorted(unknown)}; "
+                                 f"allowed: {sorted(_OVERRIDABLE)}")
         for arch, lr in self.learning_rate_overrides.items():
             if arch not in ARCHITECTURES:
                 raise ValueError(f"learning_rate_overrides for unknown architecture {arch!r}")

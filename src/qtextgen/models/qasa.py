@@ -2,15 +2,16 @@
 
 Each token embedding (plus its positional term) is split into head-width
 chunks; every head owns three independent parameter vectors over the same
-layered RY/CNOT topology.  The chunk is amplitude-encoded, the circuit run,
-and the per-qubit Z expectations become that head's Q/K/V rows.  Causal
+layered RY/CNOT topology.  Each token's chunk is amplitude-encoded, the
+circuit run, and the per-qubit Z expectations become that head's Q/K/V rows;
+one simulator call per head and role runs the circuit for every token.  Causal
 scaled dot-product attention over those measurement vectors feeds a two-layer
 feed-forward decoder, then the shared output head.
 """
 
 from __future__ import annotations
 
-from ..numerics import concat, gelu, init_bias, init_circuit_params, init_weight, matmul, stack_rows
+from ..numerics import concat, gelu, init_bias, init_circuit_params, init_weight, matmul
 from ..qsim import build_qasa_circuit, vqc_forward
 from .common import BaseModel, classical_attention
 
@@ -37,13 +38,10 @@ class QasaModel(BaseModel):
         self.dec_b2 = self._param("decoder.b_2", init_bias(d))
         self._build_head()
 
-    def head_qkv(self, x_rows, head: int):
-        """Per-token circuit readouts for one head: three (m, n_qubits) matrices."""
+    def head_qkv(self, chunk, head: int):
+        """Circuit readouts of one head's (m, head_dim) chunk: three (m, n_qubits) matrices."""
         theta = self.circuit_params[head]
-        columns = {}
-        for role in ("q", "k", "v"):
-            columns[role] = stack_rows([vqc_forward(self.spec, theta[role], row) for row in x_rows])
-        return columns["q"], columns["k"], columns["v"]
+        return tuple(vqc_forward(self.spec, theta[role], chunk) for role in ("q", "k", "v"))
 
     def logits(self, token_ids):
         m = len(token_ids)
@@ -52,9 +50,7 @@ class QasaModel(BaseModel):
         x = self.embed(token_ids) + self.positional(m)
         head_outs = []
         for a in range(h):
-            chunk = x[:, a * dh:(a + 1) * dh]
-            rows = [chunk[t] for t in range(m)]
-            q, k, v = self.head_qkv(rows, a)
+            q, k, v = self.head_qkv(x[:, a * dh:(a + 1) * dh], a)
             head_outs.append(classical_attention(q, k, v, causal=True))
         mixed = concat(head_outs, axis=1)
         decoded = matmul(gelu(matmul(mixed, self.dec_w1) + self.dec_b1), self.dec_w2) + self.dec_b2

@@ -15,6 +15,10 @@ Per layer and time step the model runs three branches:
 
 Residuals and the two LayerNorms follow:
 h_t = LN(x_t + y_time), y_t = LN(h_t + c_t + y_attn).
+
+The circuit reads x_t alone, so each layer runs it for every position in one
+simulator call, and projects the readout for all positions at once, before
+its time loop.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 
 from ..numerics import (
     Tensor,
+    broadcast_rows,
     concat,
     gelu,
     init_bias,
@@ -111,21 +116,25 @@ class QrwkvLayer:
         return r * (u * m_t), m_t
 
     def circuit_readout(self, x: Tensor) -> Tensor:
-        """Run the per-layer circuit on x_t; returns a (1, n_qubits) readout."""
-        angles = matmul(x, self.w_ang).reshape(self.nq)
-        amp_in = matmul(x, self.w_enc).reshape(2 ** self.nq)
-        full_params = concat([angles, self.theta], axis=0)
-        return vqc_forward(self.spec, full_params, amp_in).reshape(1, self.nq)
+        """Run the per-layer circuit on every row of x; returns an (m, n_qubits) readout.
 
-    def channel_mix(self, x: Tensor, h_prev: Tensor, readout: Tensor | None = None):
+        Each row gets its own first-column angles, followed by the shared
+        trainable angles.
+        """
+        angles = matmul(x, self.w_ang)
+        amp_in = matmul(x, self.w_enc)
+        full_params = concat([angles, broadcast_rows(self.theta, x.shape[0])], axis=1)
+        return vqc_forward(self.spec, full_params, amp_in)
+
+    def channel_mix(self, x: Tensor, h_prev: Tensor, qemb: Tensor | None = None):
         """VQC-enhanced channel mixing; returns (c_t, h_t).
 
-        z_t combines the projected circuit readout with a classical GELU
-        feed-forward of x_t; c_t mixes h_t with the previous activation.
+        z_t combines the projected circuit readout ``qemb`` (computed from
+        x_t when not given) with a classical GELU feed-forward of x_t; c_t
+        mixes h_t with the previous activation.
         """
-        if readout is None:
-            readout = self.circuit_readout(x)
-        qemb = matmul(readout, self.w_emb)
+        if qemb is None:
+            qemb = matmul(self.circuit_readout(x), self.w_emb)
         mlp = matmul(gelu(matmul(x, self.w_ffa) + self.b_ffa), self.w_ffb) + self.b_ffb
         z = matmul(qemb, self.w_mix1) + matmul(mlp, self.w_mix2) + self.b_mix1
         h_t = gelu(z)
@@ -138,20 +147,19 @@ class QrwkvLayer:
         lam = self.decay()
         m_state = Tensor(np.zeros((1, d)))
         h_state = Tensor(np.zeros((1, d)))
-        h_rows, c_rows, q_rows, k_rows, v_rows = [], [], [], [], []
+        readout = self.circuit_readout(x)
+        qemb = matmul(readout, self.w_emb)
+        h_rows, c_rows = [], []
         for t in range(m):
             x_t = x[t:t + 1, :]
             y_time, m_state = self.time_mix(x_t, m_state, lam)
             h_rows.append(layer_norm(x_t + y_time, self.ln1_g, self.ln1_b))
-            readout = self.circuit_readout(x_t)
-            c_t, h_state = self.channel_mix(x_t, h_state, readout)
+            c_t, h_state = self.channel_mix(x_t, h_state, qemb[t:t + 1, :])
             c_rows.append(c_t)
-            q_rows.append(matmul(readout, self.w_q))
-            k_rows.append(matmul(readout, self.w_k))
-            v_rows.append(matmul(readout, self.w_v))
         h_all = concat(h_rows, axis=0)
         c_all = concat(c_rows, axis=0)
-        y_attn = measurement_attention(concat(q_rows, axis=0), concat(k_rows, axis=0), concat(v_rows, axis=0))
+        y_attn = measurement_attention(matmul(readout, self.w_q), matmul(readout, self.w_k),
+                                       matmul(readout, self.w_v))
         return layer_norm(h_all + c_all + y_attn, self.ln2_g, self.ln2_b)
 
 

@@ -25,7 +25,7 @@ __all__ = [
     "matmul",
     "transpose",
     "concat",
-    "stack_rows",
+    "broadcast_rows",
     "interleave_columns",
     "embedding_lookup",
     "relu",
@@ -434,15 +434,13 @@ def concat(tensors, axis=0):
     return record_op(out, tuple(tensors), bw)
 
 
-def stack_rows(tensors):
-    """Stack 1-D tensors of equal length into a matrix, one per row."""
-    tensors = [_lift(t) for t in tensors]
-    out = Tensor(np.stack([t.data for t in tensors], axis=0), copy=False)
-
-    def bw(g):
-        return tuple(g[i] for i in range(len(tensors)))
-
-    return record_op(out, tuple(tensors), bw)
+def broadcast_rows(a, n: int):
+    """Repeat a 1-D tensor as each of the ``n`` rows of a matrix."""
+    a = _lift(a)
+    if a.ndim != 1:
+        raise ValueError(f"broadcast_rows expects a 1-D tensor, got shape {a.shape}")
+    out = Tensor(np.broadcast_to(a.data, (n, a.size)), copy=True)
+    return record_op(out, (a,), lambda g: (g.sum(axis=0),))
 
 
 def interleave_columns(a, b):

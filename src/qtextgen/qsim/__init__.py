@@ -1,30 +1,17 @@
-"""Exact statevector simulation of small variational quantum circuits."""
+"""Exact, batched statevector simulation of small variational quantum circuits."""
 
 from .circuit import CircuitSpec, GateOp, build_qasa_circuit, build_qrwkv_circuit
-from .gates import MAX_QUBITS, StateVector, zero_state
-from .vqc import (
-    amplitude_encode,
-    apply_gate,
-    expect_z_all,
-    param_shift_grad,
-    run_circuit,
-    vqc_expectations,
-    vqc_forward,
-)
+from .gates import MAX_QUBITS
+from .vqc import amplitude_encode, param_shift_grad, run_circuit, vqc_forward
 
 __all__ = [
     "MAX_QUBITS",
     "CircuitSpec",
     "GateOp",
-    "StateVector",
     "amplitude_encode",
-    "apply_gate",
     "build_qasa_circuit",
     "build_qrwkv_circuit",
-    "expect_z_all",
     "param_shift_grad",
     "run_circuit",
-    "vqc_expectations",
     "vqc_forward",
-    "zero_state",
 ]

@@ -1,4 +1,4 @@
-"""Exact statevector simulation primitives for a small qubit register.
+"""Gate matrices and index tables for a small qubit register.
 
 Basis-index convention is big-endian: qubit 0 is the most significant bit of
 the basis index, so |q0 q1 ... q(n-1)> maps to index q0*2^(n-1) + ... .
@@ -8,84 +8,46 @@ irrelevant throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
 MAX_QUBITS = 8  # desk-scale simulator: at most 256 amplitudes
 
-__all__ = ["MAX_QUBITS", "StateVector", "zero_state", "rotation_matrix", "pauli", "apply_single_qubit", "z_signs"]
+__all__ = ["MAX_QUBITS", "GENERATORS", "rotation_matrices", "cnot_permutation", "z_signs"]
 
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized pure state of ``n_qubits`` qubits."""
-
-    n_qubits: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2 ** self.n_qubits,):
-            raise ValueError(f"expected {2 ** self.n_qubits} amplitudes, got shape {amps.shape}")
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"state norm^2 = {norm!r} is not 1")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-
-def zero_state(n_qubits: int) -> StateVector:
-    amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps)
-
-
-_PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+# dR(theta)/dtheta = G R(theta) with G = -i P / 2 for R = exp(-i theta/2 P);
+# G is real for RY, so a real circuit stays real in the adjoint too
+GENERATORS = {
+    "rx": np.array([[0.0, -0.5j], [-0.5j, 0.0]]),
+    "ry": np.array([[0.0, -0.5], [0.5, 0.0]]),
+    "rz": np.array([[-0.5j, 0.0], [0.0, 0.5j]]),
 }
 
 
-def rotation_matrix(axis: str, theta: float) -> np.ndarray:
-    """exp(-i * theta/2 * Pauli) for axis in {x, y, z}."""
+def rotation_matrices(kind: str, theta: np.ndarray) -> np.ndarray:
+    """exp(-i theta/2 P) for every angle of the flat ``theta``: shape (len(theta), 2, 2).
+
+    RY matrices are real; RX and RZ matrices are complex.
+    """
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    if axis == "x":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
-    if axis == "y":
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
-    if axis == "z":
-        return np.array([[np.exp(-1j * theta / 2.0), 0], [0, np.exp(1j * theta / 2.0)]], dtype=np.complex128)
-    raise ValueError(f"unknown rotation axis {axis!r}")
-
-
-def pauli(axis: str) -> np.ndarray:
-    return _PAULI[axis]
+    if kind == "ry":
+        entries = [[c, -s], [s, c]]
+    elif kind == "rx":
+        entries = [[c, -1j * s], [-1j * s, c]]
+    else:  # rz
+        zero = np.zeros_like(c)
+        entries = [[c - 1j * s, zero], [zero, c + 1j * s]]
+    return np.array(entries).transpose(2, 0, 1)
 
 
 @cache
-def _pair_indices(n: int, target: int):
-    """Indices of basis states with target bit 0 and their bit-1 partners."""
-    k = n - 1 - target  # bit position of the target qubit (big-endian)
+def cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
+    """Basis permutation of a CNOT: flip the target bit wherever the control bit is set."""
     idx = np.arange(2 ** n)
-    idx0 = idx[(idx >> k) & 1 == 0]
-    return idx0, idx0 | (1 << k)
-
-
-def apply_single_qubit(amps: np.ndarray, mat: np.ndarray, target: int, n: int) -> np.ndarray:
-    idx0, idx1 = _pair_indices(n, target)
-    a0, a1 = amps[idx0], amps[idx1]
-    out = np.empty_like(amps)
-    out[idx0] = mat[0, 0] * a0 + mat[0, 1] * a1
-    out[idx1] = mat[1, 0] * a0 + mat[1, 1] * a1
-    return out
+    perm = idx ^ (((idx >> (n - 1 - control)) & 1) << (n - 1 - target))
+    perm.setflags(write=False)
+    return perm
 
 
 @cache

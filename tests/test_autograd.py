@@ -6,6 +6,7 @@ import pytest
 from qtextgen.numerics import (
     ComputationRecord,
     Tensor,
+    broadcast_rows,
     concat,
     cos,
     cross_entropy,
@@ -20,7 +21,6 @@ from qtextgen.numerics import (
     relu,
     sigmoid,
     sin,
-    stack_rows,
     transpose,
 )
 from oracles import finite_diff_grad, op_grad_check, rel_err
@@ -50,7 +50,7 @@ def _rand(*shape):
     (lambda a: a[1:3, ::2], [_rand(4, 6)]),
     (lambda a, b: concat([a, b], axis=1), [_rand(2, 3), _rand(2, 2)]),
     (lambda a, b: concat([a, b], axis=0), [_rand(2, 3), _rand(1, 3)]),
-    (lambda a, b: stack_rows([a, b]), [_rand(4), _rand(4)]),
+    (lambda a: broadcast_rows(a, 3), [_rand(4)]),
     (lambda a, b: interleave_columns(a, b), [_rand(3, 2), _rand(3, 2)]),
     (lambda a: relu(a), [_rand(3, 3) + 0.2]),
     (lambda a: gelu(a), [_rand(6)]),

@@ -42,6 +42,17 @@ class TestExitCodes:
         bad.write_text(json.dumps({"epoch": 3}))
         assert main(["synth-data", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("bad_value", [
+        {"learning_rate": -1.0},
+        {"beta1": 1.5},
+        {"adam_eps": 0.0},
+        {"model_overrides": {"mlp": {"d_modle": 8}}},
+    ])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, bad_value):
+        bad = _tiny_config(tmp_path, **bad_value)
+        assert main(["benchmark", "--config", str(bad)]) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
         code = main(["generate", "--model", "mlp", "--dataset", "proverbs",
                      "--prompt", "actions", "--out", str(tmp_path)])

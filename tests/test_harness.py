@@ -9,6 +9,8 @@ import pytest
 from qtextgen.corpus import Subset, synthesize_datasets, train_val_split
 from qtextgen.harness import (
     RunConfig,
+    benchmark_matrix,
+    cell_seed,
     evaluate_model,
     fit,
     load_checkpoint,
@@ -71,8 +73,8 @@ class TestFit:
 
     def test_early_stopping_triggers_with_patience_one(self):
         ds = _dataset()
-        # lr=0 cannot improve: first epoch sets the best, the next stops
-        cfg = _quick_cfg(epochs=30, patience=1, learning_rate=0.0)
+        # Adam steps of ~1e-12 cannot improve by min_delta: first epoch sets the best, the next stops
+        cfg = _quick_cfg(epochs=30, patience=1, learning_rate=1e-12)
         _, log, _ = train_on_dataset("mlp", ds, cfg)
         assert log.stop_reason == "early-stopped at epoch 2"
         assert len(log.val_losses) == 2
@@ -195,8 +197,42 @@ class TestRunConfig:
         cfg = _quick_cfg(model_overrides={"mlp": {"d_ff": 24}})
         assert model_config_for("mlp", ds, cfg, seed=0).d_ff == 24
 
+    @pytest.mark.parametrize("kw", [
+        {"learning_rate": -1.0},
+        {"learning_rate": 0.0},
+        {"beta1": 1.5},
+        {"beta1": -0.1},
+        {"beta2": 1.0},
+        {"adam_eps": 0.0},
+    ])
+    def test_bad_optimizer_values_rejected(self, kw):
+        with pytest.raises(ValueError, match="must"):
+            RunConfig(**kw)
+
+    @pytest.mark.parametrize("key", ["d_modle", "arch", "vocab_size", "seed"])
+    def test_bad_override_keys_rejected(self, key):
+        with pytest.raises(ValueError, match=key):
+            RunConfig(model_overrides={"mlp": {key: 8}})
+
+    def test_max_seq_len_override_allowed(self):
+        assert RunConfig(model_overrides={"qasa": {"max_seq_len": 30}}).model_overrides["qasa"]["max_seq_len"] == 30
+
 
 class TestBenchmarkPlumbing:
+    def test_cell_results_do_not_depend_on_other_cells(self, tmp_path):
+        reports = []
+        for models in (("mlp",), ("transformer", "mlp")):
+            cfg = RunConfig(epochs=1, datasets=("proverbs",), models=models, out_dir=str(tmp_path / "_".join(models)))
+            result = benchmark_matrix(cfg)
+            reports.append([r.as_dict() for r in result.reports if r.model == "MLP"])
+        assert len(reports[0]) == 1
+        assert reports[0] == reports[1]
+
+    def test_cell_seed_depends_on_dataset_and_arch_only(self):
+        seeds = {cell_seed(42, d, a) for d in ("proverbs", "haiku") for a in ("mlp", "qasa")}
+        assert len(seeds) == 4
+        assert cell_seed(42, "proverbs", "mlp") == cell_seed(42, "proverbs", "mlp") != cell_seed(43, "proverbs", "mlp")
+
     def test_run_cell_produces_report_and_log(self):
         ds = _dataset()
         cfg = _quick_cfg(epochs=1)

@@ -55,9 +55,7 @@ def test_zero_circuit_params_forward_is_finite():
 def test_measurement_rows_lie_in_unit_interval():
     model = _model(seed=6)
     x = model.embed([1, 4, 6]) + model.positional(3)
-    chunk = x[:, 0:4]
-    rows = [chunk[t] for t in range(3)]
-    q, k, v = model.head_qkv(rows, 0)
+    q, k, v = model.head_qkv(x[:, 0:4], 0)
     for mat in (q, k, v):
         assert np.all(mat.data >= -1.0 - 1e-12)
         assert np.all(mat.data <= 1.0 + 1e-12)
