@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numerics import Tensor, concat, gelu, init_bias, init_weight, matmul
+from ..numerics import Tensor, gelu, init_bias, init_weight, matmul
 from .common import BaseModel
 
 
@@ -25,15 +25,10 @@ class MlpModel(BaseModel):
         m = len(token_ids)
         self.check_length(m)
         w, d = self.config.mlp_window, self.config.d_model
-        emb = self.embed(token_ids)
-        zero_row = Tensor(np.zeros((1, d)))
-        rows = []
-        for t in range(m):
-            window = []
-            for offset in range(w - 1, -1, -1):
-                j = t - offset
-                window.append(emb[j:j + 1, :] if j >= 0 else zero_row)
-            rows.append(concat(window, axis=1))
-        stacked = concat(rows, axis=0)
+        # slot j of row t reads position t - (w - 1) + j; slots before position 0 read id 0, then are zeroed
+        pos = np.arange(m)[:, None] + np.arange(1 - w, 1)[None, :]
+        ids = np.asarray(token_ids, dtype=np.intp)[np.maximum(pos, 0)].reshape(-1)
+        keep = Tensor((pos >= 0).reshape(-1, 1))
+        stacked = (self.embed(ids) * keep).reshape(m, w * d)
         hidden = gelu(matmul(stacked, self.w_1) + self.b_1)
         return matmul(hidden, self.w_2) + self.b_2

@@ -1,14 +1,15 @@
 """QRWKV: receptance-gated time mixing plus VQC-enhanced channel mixing.
 
-Per layer and time step the model runs three branches:
+Each layer runs three branches over all positions of the sequence at once:
 
 * time mixing - key/value projections of x_t accumulate into a per-channel
-  exponentially decayed memory m_t; a sigmoid receptance gate over
-  [x_t; m_(t-1)] controls how much of u_t * m_t is exposed;
+  exponentially decayed memory m_t = lambda * m_(t-1) + v_t; a sigmoid
+  receptance gate over [x_t; m_(t-1)] controls how much of u_t * m_t is
+  exposed;
 * channel mixing - x_t drives a fixed-layout circuit (first RX column takes
   input-derived angles, the rest are trainable); its Z readout is projected
   back to model width and combined with a small classical feed-forward of
-  x_t, gated through GELU, and mixed with the previous step's activation;
+  x_t, gated through GELU, and mixed with the previous position's activation;
 * measurement attention - query/key/value vectors projected from the same
   circuit readout attend causally over the prefix (plain inner products, no
   scaling).
@@ -16,9 +17,9 @@ Per layer and time step the model runs three branches:
 Residuals and the two LayerNorms follow:
 h_t = LN(x_t + y_time), y_t = LN(h_t + c_t + y_attn).
 
-The circuit reads x_t alone, so each layer runs it for every position in one
-simulator call, and projects the readout for all positions at once, before
-its time loop.
+This is RWKV's parallel mode: the circuit runs for every position in one
+simulator call, the memory (the only recurrence) is one ``decay_scan``, and
+rows t-1 come from a row shift with a zero first row.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from ..numerics import (
     Tensor,
     broadcast_rows,
     concat,
+    decay_scan,
     gelu,
     init_bias,
     init_circuit_params,
@@ -47,6 +49,11 @@ from ..qsim import build_qrwkv_circuit, vqc_forward
 from .common import BaseModel
 
 
+def previous_rows(x: Tensor) -> Tensor:
+    """Row t of the result is row t-1 of x; row 0 is zero (the state before the sequence)."""
+    return matmul(Tensor(np.eye(x.shape[0], k=-1)), x)
+
+
 def measurement_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Causal prefix softmax over raw inner products of readout-derived rows."""
     weights = masked_softmax_rows(matmul(q, transpose(k)), causal=True)
@@ -54,13 +61,11 @@ def measurement_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
 
 class QrwkvLayer:
-    """One recurrent layer; parameters are registered on the owning model."""
+    """One layer, run over all positions at once; parameters are registered on the owning model."""
 
     def __init__(self, model: BaseModel, index: int):
         cfg = model.config
         d, ff, nq = cfg.d_model, cfg.d_ff, cfg.qrwkv_qubits
-        self.d = d
-        self.nq = nq
         self.spec = build_qrwkv_circuit(nq)
         self.n_trainable_angles = self.spec.n_params - nq
         amp_dim = 2 ** nq
@@ -102,18 +107,12 @@ class QrwkvLayer:
         # lambda = exp(-dt/tau) with dt = 1 and tau = exp(log_tau)
         return t_exp(t_neg(t_exp(t_neg(self.log_tau))))
 
-    def time_mix(self, x: Tensor, m_prev: Tensor, lam: Tensor | None = None):
-        """One step of decayed accumulation behind the receptance gate.
-
-        Returns (exposed output y_time, updated memory m_t).
-        """
-        if lam is None:
-            lam = self.decay()
+    def time_mix(self, x: Tensor):
+        """Receptance-gated decayed memory for every row of x; returns (y_time, memory m)."""
         u = matmul(x, self.w_key)
-        v = matmul(x, self.w_value)
-        m_t = lam * m_prev + v
-        r = sigmoid(matmul(concat([x, m_prev], axis=1), self.w_recept) + self.b_recept)
-        return r * (u * m_t), m_t
+        mem = decay_scan(matmul(x, self.w_value), self.decay())
+        r = sigmoid(matmul(concat([x, previous_rows(mem)], axis=1), self.w_recept) + self.b_recept)
+        return r * (u * mem), mem
 
     def circuit_readout(self, x: Tensor) -> Tensor:
         """Run the per-layer circuit on every row of x; returns an (m, n_qubits) readout.
@@ -126,41 +125,22 @@ class QrwkvLayer:
         full_params = concat([angles, broadcast_rows(self.theta, x.shape[0])], axis=1)
         return vqc_forward(self.spec, full_params, amp_in)
 
-    def channel_mix(self, x: Tensor, h_prev: Tensor, qemb: Tensor | None = None):
-        """VQC-enhanced channel mixing; returns (c_t, h_t).
-
-        z_t combines the projected circuit readout ``qemb`` (computed from
-        x_t when not given) with a classical GELU feed-forward of x_t; c_t
-        mixes h_t with the previous activation.
-        """
-        if qemb is None:
-            qemb = matmul(self.circuit_readout(x), self.w_emb)
+    def channel_mix(self, x: Tensor, qemb: Tensor):
+        """Channel mixing of every row of x with its projected circuit readout ``qemb``; returns (c, h)."""
         mlp = matmul(gelu(matmul(x, self.w_ffa) + self.b_ffa), self.w_ffb) + self.b_ffb
         z = matmul(qemb, self.w_mix1) + matmul(mlp, self.w_mix2) + self.b_mix1
-        h_t = gelu(z)
-        c_t = matmul(h_t * h_prev, self.w_mix3) + self.b_mix2
-        return c_t, h_t
+        h = gelu(z)
+        c = matmul(h * previous_rows(h), self.w_mix3) + self.b_mix2
+        return c, h
 
     def forward(self, x: Tensor) -> Tensor:
-        m = x.shape[0]
-        d = self.d
-        lam = self.decay()
-        m_state = Tensor(np.zeros((1, d)))
-        h_state = Tensor(np.zeros((1, d)))
         readout = self.circuit_readout(x)
-        qemb = matmul(readout, self.w_emb)
-        h_rows, c_rows = [], []
-        for t in range(m):
-            x_t = x[t:t + 1, :]
-            y_time, m_state = self.time_mix(x_t, m_state, lam)
-            h_rows.append(layer_norm(x_t + y_time, self.ln1_g, self.ln1_b))
-            c_t, h_state = self.channel_mix(x_t, h_state, qemb[t:t + 1, :])
-            c_rows.append(c_t)
-        h_all = concat(h_rows, axis=0)
-        c_all = concat(c_rows, axis=0)
+        y_time, _ = self.time_mix(x)
+        c, _ = self.channel_mix(x, matmul(readout, self.w_emb))
         y_attn = measurement_attention(matmul(readout, self.w_q), matmul(readout, self.w_k),
                                        matmul(readout, self.w_v))
-        return layer_norm(h_all + c_all + y_attn, self.ln2_g, self.ln2_b)
+        h = layer_norm(x + y_time, self.ln1_g, self.ln1_b)
+        return layer_norm(h + c + y_attn, self.ln2_g, self.ln2_b)
 
 
 class QrwkvModel(BaseModel):

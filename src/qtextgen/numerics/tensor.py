@@ -26,6 +26,7 @@ __all__ = [
     "transpose",
     "concat",
     "broadcast_rows",
+    "decay_scan",
     "interleave_columns",
     "embedding_lookup",
     "relu",
@@ -410,13 +411,13 @@ def reshape(a, shape):
 
 
 def take(a, idx):
-    """Basic numpy indexing (ints and slices) with scatter-add backward."""
+    """Numpy indexing with scatter-add backward; repeated indices accumulate."""
     a = _lift(a)
     out = Tensor(a.data[idx], copy=True)
 
     def bw(g):
         z = np.zeros_like(a.data)
-        z[idx] += g
+        np.add.at(z, idx, g)
         return (z,)
 
     return record_op(out, (a,), bw)
@@ -441,6 +442,27 @@ def broadcast_rows(a, n: int):
         raise ValueError(f"broadcast_rows expects a 1-D tensor, got shape {a.shape}")
     out = Tensor(np.broadcast_to(a.data, (n, a.size)), copy=True)
     return record_op(out, (a,), lambda g: (g.sum(axis=0),))
+
+
+def decay_scan(v, lam):
+    """Decayed running sum down the (T, d) rows of v: out[t] = lam * out[t-1] + v[t], out[-1] = 0.
+
+    Backward is the reverse sweep a[t] = g[t] + lam * a[t+1]: dv = a, dlam = sum_t a[t] * out[t-1].
+    """
+    v, lam = _lift(v), _lift(lam)
+    if v.ndim != 2 or lam.shape != (v.shape[1],):
+        raise ValueError(f"decay_scan expects (T, d) values and (d,) decays, got {v.shape} and {lam.shape}")
+    data, acc = np.empty_like(v.data), 0.0
+    for t in range(v.shape[0]):
+        data[t] = acc = lam.data * acc + v.data[t]
+
+    def bw(g):
+        a, acc = np.empty_like(g), 0.0
+        for t in reversed(range(g.shape[0])):
+            a[t] = acc = g[t] + lam.data * acc
+        return a, (a[1:] * data[:-1]).sum(axis=0)
+
+    return record_op(Tensor(data, copy=False), (v, lam), bw)
 
 
 def interleave_columns(a, b):

@@ -207,3 +207,68 @@ def qksan_head_reference(x: np.ndarray, head, causal: bool = True, eps: float = 
             gate_cos = math.cos(sum(v[i, t] * head.w_omega.data[j, t] for t in range(dh)) + head.b_omega.data[j])
             gated[i, j] = v[i, j] * gate_sig * gate_cos
     return weights @ gated
+
+
+# ---------------------------------------------------------------------------
+# recurrent QRWKV and window-MLP oracles
+# ---------------------------------------------------------------------------
+
+def _gelu(z: np.ndarray) -> np.ndarray:
+    # the same expression as numerics.gelu, so references can match bit for bit
+    return 0.5 * z * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (z + 0.044715 * z ** 3)))
+
+
+def _layer_norm_row(z: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    zc = z - z.mean()
+    return zc / math.sqrt((zc * zc).mean() + eps) * gain + shift
+
+
+def qrwkv_layer_reference(layer, x: np.ndarray) -> np.ndarray:
+    """One QRWKV layer in its recurrent form: a plain-numpy loop over positions.
+
+    Each step carries the decayed memory m and the channel-mix activation h
+    to the next.  A position's circuit runs as a dense unitary on its own
+    amplitude-encoded row; measurement attention reads the readouts of the
+    prefix.
+    """
+    def p(name):
+        return getattr(layer, name).data
+
+    n_q = layer.spec.n_qubits
+    signs = np.array([[1.0 - 2.0 * ((b >> (n_q - 1 - q)) & 1) for b in range(2 ** n_q)] for q in range(n_q)])
+    lam = np.exp(-np.exp(-p("log_tau")))
+    mem = np.zeros(x.shape[1])
+    h = np.zeros(x.shape[1])
+    readouts, out = [], []
+    for x_t in x:
+        amps = x_t @ p("w_enc")
+        norm = np.linalg.norm(amps)
+        psi = amps / norm if norm >= 1e-12 else np.eye(amps.size)[0]
+        psi = dense_unitary(layer.spec, np.concatenate([x_t @ p("w_ang"), p("theta")])) @ psi
+        readouts.append(signs @ np.abs(psi) ** 2)
+        # time mixing
+        m_prev, mem = mem, lam * mem + x_t @ p("w_value")
+        r = 1.0 / (1.0 + np.exp(-(np.concatenate([x_t, m_prev]) @ p("w_recept") + p("b_recept"))))
+        h_time = _layer_norm_row(x_t + r * (x_t @ p("w_key") * mem), p("ln1_g"), p("ln1_b"))
+        # channel mixing
+        ff = _gelu(x_t @ p("w_ffa") + p("b_ffa")) @ p("w_ffb") + p("b_ffb")
+        h_prev, h = h, _gelu(readouts[-1] @ p("w_emb") @ p("w_mix1") + ff @ p("w_mix2") + p("b_mix1"))
+        c = (h * h_prev) @ p("w_mix3") + p("b_mix2")
+        # measurement attention over the prefix
+        ro = np.array(readouts)
+        scores = (ro @ p("w_k")) @ (readouts[-1] @ p("w_q"))
+        w = np.exp(scores - scores.max())
+        attn = (w / w.sum()) @ (ro @ p("w_v"))
+        out.append(_layer_norm_row(h_time + c + attn, p("ln2_g"), p("ln2_b")))
+    return np.array(out)
+
+
+def mlp_logits_reference(model, token_ids) -> np.ndarray:
+    """MLP logits with each position's window concatenated one slot at a time."""
+    w, d = model.config.mlp_window, model.config.d_model
+    emb = model.embedding.data[np.asarray(token_ids)]
+    rows = []
+    for t in range(len(token_ids)):
+        rows.append(np.concatenate([emb[j] if j >= 0 else np.zeros(d) for j in range(t - w + 1, t + 1)]))
+    hidden = _gelu(np.array(rows) @ model.w_1.data + model.b_1.data)
+    return hidden @ model.w_2.data + model.b_2.data

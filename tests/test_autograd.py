@@ -10,6 +10,7 @@ from qtextgen.numerics import (
     concat,
     cos,
     cross_entropy,
+    decay_scan,
     embedding_lookup,
     exp,
     gelu,
@@ -62,6 +63,9 @@ def _rand(*shape):
     (lambda a: masked_softmax_rows(a, causal=True), [_rand(4, 4) * 3.0]),
     (lambda a: masked_softmax_rows(a, causal=False), [_rand(3, 5)]),
     (lambda x, g, s: layer_norm(x, g, s), [_rand(4, 6), _rand(6) + 1.5, _rand(6)]),
+    (lambda v, lam: decay_scan(v, lam), [_rand(5, 3), 0.01 + 0.005 * _rand(3)]),    # lambda near 0
+    (lambda v, lam: decay_scan(v, lam), [_rand(5, 3), 0.99 + 0.005 * _rand(3)]),    # lambda near 1
+    (lambda v, lam: decay_scan(v, lam), [_rand(1, 4), 0.5 + 0.3 * _rand(4)]),       # T = 1
 ])
 def test_primitive_gradients(fn, arrays):
     assert op_grad_check(fn, arrays) < TOL
@@ -82,6 +86,26 @@ def test_embedding_lookup_scatter_adds_duplicates():
     expected[1] = 2.0
     expected[3] = 1.0
     np.testing.assert_array_equal(table.grad, expected)
+
+
+def test_take_scatter_adds_repeated_indices():
+    a = Tensor(np.ones((4, 2)))
+    with ComputationRecord() as rec:
+        rec.backward(a[np.array([0, 0, 2])].sum())
+    expected = np.zeros((4, 2))
+    expected[0] = 2.0
+    expected[2] = 1.0
+    np.testing.assert_array_equal(a.grad, expected)
+
+
+def test_decay_scan_matches_step_recurrence():
+    rng = np.random.default_rng(7)
+    v, lam = rng.normal(size=(6, 3)), rng.uniform(0.1, 0.9, 3)
+    acc, rows = np.zeros(3), []
+    for v_t in v:
+        acc = lam * acc + v_t
+        rows.append(acc)
+    np.testing.assert_array_equal(decay_scan(Tensor(v), Tensor(lam)).data, np.array(rows))
 
 
 def test_cross_entropy_gradient():

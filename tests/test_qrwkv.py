@@ -1,10 +1,12 @@
 """QRWKV layer pieces: time mixing, channel mixing, measurement attention."""
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qtextgen.models import build_model, default_config, measurement_attention
-from qtextgen.numerics import Rng, Tensor
-from oracles import model_grad_check
+from qtextgen.numerics import Tensor, matmul
+from oracles import model_grad_check, qrwkv_layer_reference
 
 
 def _model(seed=0, **kw):
@@ -19,14 +21,10 @@ class TestTimeMixing:
         layer = model.layers[0]
         layer.log_tau.data[...] = 20.0  # tau huge, decay ~ 1
         d = model.config.d_model
-        m = Tensor(np.zeros((1, d)))
-        total = np.zeros((1, d))
-        rng = np.random.default_rng(0)
-        for _ in range(3):
-            x = Tensor(rng.normal(size=(1, d)))
-            _, m = layer.time_mix(x, m)
-            total += x.data @ layer.w_value.data
-        np.testing.assert_allclose(m.data, total, atol=1e-6)
+        x = np.random.default_rng(0).normal(size=(3, d))
+        _, m = layer.time_mix(Tensor(x))
+        total = (x @ layer.w_value.data).sum(axis=0)
+        np.testing.assert_allclose(m.data[-1], total, atol=1e-6)
 
     def test_zero_receptance_weights_gate_half(self):
         model = _model(seed=2)
@@ -34,8 +32,8 @@ class TestTimeMixing:
         layer.w_recept.data[...] = 0.0
         layer.b_recept.data[...] = 0.0
         d = model.config.d_model
-        x = Tensor(np.random.default_rng(1).normal(size=(1, d)))
-        y, m = layer.time_mix(x, Tensor(np.zeros((1, d))))
+        x = Tensor(np.random.default_rng(1).normal(size=(3, d)))
+        y, m = layer.time_mix(x)
         u = x.data @ layer.w_key.data
         np.testing.assert_allclose(y.data, 0.5 * u * m.data, atol=1e-12)
 
@@ -56,10 +54,9 @@ class TestTimeMixing:
             m_ref = lam * m_ref + v
             r = 1.0 / (1.0 + np.exp(-(np.concatenate([x, m_prev], axis=1) @ layer.w_recept.data + layer.b_recept.data)))
             ys_ref.append(r * u * m_ref)
-        m = Tensor(np.zeros((1, d)))
-        for x, y_ref in zip(xs, ys_ref):
-            y, m = layer.time_mix(Tensor(x), m)
-            np.testing.assert_allclose(y.data, y_ref, atol=1e-12)
+        y, _ = layer.time_mix(Tensor(np.concatenate(xs, axis=0)))
+        for t, y_ref in enumerate(ys_ref):
+            np.testing.assert_allclose(y.data[t:t + 1], y_ref, atol=1e-12)
 
     def test_decay_lies_in_unit_interval(self):
         model = _model(seed=4)
@@ -67,13 +64,18 @@ class TestTimeMixing:
         assert np.all(lam > 0.0) and np.all(lam < 1.0)
 
 
+def _qemb(layer, x: Tensor) -> Tensor:
+    return matmul(layer.circuit_readout(x), layer.w_emb)
+
+
 class TestChannelMixing:
     def test_zero_previous_activation_yields_bias(self):
+        # the first row has no previous activation (h_(-1) = 0)
         model = _model(seed=5)
         layer = model.layers[0]
         d = model.config.d_model
         x = Tensor(np.random.default_rng(3).normal(size=(1, d)))
-        c, _ = layer.channel_mix(x, Tensor(np.zeros((1, d))))
+        c, _ = layer.channel_mix(x, _qemb(layer, x))
         np.testing.assert_allclose(c.data, layer.b_mix2.data[None, :], atol=1e-12)
 
     def test_zero_mix_weights_constant_activation(self):
@@ -83,11 +85,9 @@ class TestChannelMixing:
         layer.w_mix2.data[...] = 0.0
         layer.b_mix1.data[...] = 0.7
         d = model.config.d_model
-        rng = np.random.default_rng(4)
-        acts = []
-        for _ in range(3):
-            _, h = layer.channel_mix(Tensor(rng.normal(size=(1, d))), Tensor(np.zeros((1, d))))
-            acts.append(h.data.copy())
+        x = Tensor(np.random.default_rng(4).normal(size=(3, d)))
+        _, h = layer.channel_mix(x, _qemb(layer, x))
+        acts = h.data
         np.testing.assert_allclose(acts[0], acts[1], atol=1e-15)
         np.testing.assert_allclose(acts[1], acts[2], atol=1e-15)
 
@@ -138,3 +138,27 @@ class TestFullLayer:
     def test_full_gradient_check_on_three_tokens(self):
         model = _model(seed=9)
         assert model_grad_check(model, [1, 4, 6], [4, 6, 2], sample_per_param=4) < 1e-4
+
+
+class TestParallelMatchesRecurrent:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12))
+    def test_layer_equals_recurrent_oracle(self, seed, length):
+        model = _model(seed=seed % 1000)
+        layer = model.layers[0]
+        x = np.random.default_rng(seed).normal(size=(length, model.config.d_model))
+        np.testing.assert_allclose(layer.forward(Tensor(x)).data, qrwkv_layer_reference(layer, x),
+                                   rtol=0, atol=1e-12)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.data())
+    def test_changing_a_row_leaves_earlier_rows_bit_identical(self, seed, length, data):
+        model = _model(seed=seed % 1000)
+        layer = model.layers[0]
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(length, model.config.d_model))
+        t = data.draw(st.integers(0, length - 1))
+        changed = x.copy()
+        changed[t] = rng.normal(size=model.config.d_model)
+        a = layer.forward(Tensor(x)).data
+        b = layer.forward(Tensor(changed)).data
+        np.testing.assert_array_equal(a[:t], b[:t])
+        assert not np.array_equal(a[t], b[t])

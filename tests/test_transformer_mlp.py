@@ -1,10 +1,12 @@
 """Classical baselines: causality, degenerate cases, gradient checks."""
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qtextgen.models import build_model, default_config
 from qtextgen.numerics import Rng
-from oracles import model_grad_check
+from oracles import mlp_logits_reference, model_grad_check
 
 
 def _tiny(arch, seed=0, **kw):
@@ -73,6 +75,11 @@ class TestMlp:
     def test_gradients_match_finite_differences(self):
         model = _tiny("mlp", seed=11)
         assert model_grad_check(model, [1, 4, 6], [4, 6, 2], sample_per_param=6) < 1e-4
+
+    @given(st.integers(0, 1000), st.integers(1, 5), st.lists(st.integers(0, 10), min_size=1, max_size=8))
+    def test_logits_equal_window_concat_reference(self, seed, window, ids):
+        model = _tiny("mlp", seed=seed, mlp_window=window)
+        np.testing.assert_array_equal(model.logits(ids).data, mlp_logits_reference(model, ids))
 
 
 def test_all_architectures_finite_with_params_in_unit_box():
