@@ -1,9 +1,10 @@
 """Mini-batch training with validation-based early stopping.
 
-Batches are padded to their longest member with the loss masked on pads;
-the batch loss is the token-pooled mean NLL, so batch composition does not
-reweight sequences.  The best-validation parameter snapshot is restored
-when training ends, whether it completed or stopped early.
+Training and validation losses are the token-pooled mean NLL of
+:func:`qtextgen.metrics.mean_nll`: every sequence runs unpadded and every
+target counts once, so batch composition does not reweight sequences.  The
+best-validation parameter snapshot is restored when training ends, whether
+it completed or stopped early.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 
-from ..corpus import Dataset, Subset, train_val_split
-from ..metrics import perplexity
+from ..corpus import Dataset, train_val_split
+from ..metrics import mean_nll
 from ..models import BaseModel, ModelConfig, build_model, default_config
 from ..numerics import Adam, ComputationRecord, Rng, derive_seed
 from .config import RunConfig
@@ -38,19 +39,12 @@ class TrainLog:
 
 
 def batch_loss(model: BaseModel, batch):
-    """Token-pooled mean NLL over a batch of id sequences."""
-    pad_to = max(len(seq) for seq in batch)
-    total, tokens = None, 0
-    for seq in batch:
-        nll, n = model.sequence_nll(seq, pad_to=pad_to)
-        term = nll * float(n)
-        total = term if total is None else total + term
-        tokens += n
-    return total * (1.0 / tokens), tokens
+    """Token-pooled mean NLL over a batch of id sequences: (scalar tensor, target count)."""
+    return mean_nll(model, batch)
 
 
 def validation_loss(model: BaseModel, sequences) -> float:
-    return math.log(perplexity(model, sequences))
+    return mean_nll(model, sequences)[0].item()
 
 
 def fit(model: BaseModel, train_seqs, val_seqs, cfg: RunConfig, rng: Rng) -> TrainLog:

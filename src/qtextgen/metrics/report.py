@@ -5,11 +5,11 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
+from ..numerics import concat, cross_entropy
 from .text_metrics import FluencyStats, bleu_n, distinct_n, fluency_stats, repetition_rate
 
-__all__ = ["GenerationSample", "SampleScores", "MetricsReport", "perplexity", "score_sample", "aggregate_report"]
+__all__ = ["GenerationSample", "SampleScores", "MetricsReport", "mean_nll", "perplexity", "score_sample",
+           "aggregate_report"]
 
 
 @dataclass(frozen=True)
@@ -46,26 +46,28 @@ class MetricsReport:
         return asdict(self)
 
 
-def perplexity(model, sequences) -> float:
-    """exp of the token-pooled mean NLL under teacher forcing.
+def mean_nll(model, sequences):
+    """Token-pooled mean NLL under teacher forcing: (scalar tensor, target count).
 
-    ``model`` exposes logits(token_ids); every non-pad target position across
-    the evaluation set contributes once to the pool.
+    ``model.logits`` runs once per sequence on all but its last id, unpadded;
+    one ``cross_entropy`` call scores the rows of every sequence, so each
+    target counts once.  Sequences shorter than two ids score nothing.
     """
-    total_nll, total_tokens = 0.0, 0
+    rows, targets = [], []
     for seq in sequences:
         seq = list(seq)
         if len(seq) < 2:
             continue
-        logits = model.logits(seq[:-1]).data
-        targets = np.asarray(seq[1:], dtype=np.intp)
-        m = logits.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-        total_nll += float((lse - logits[np.arange(len(targets)), targets]).sum())
-        total_tokens += len(targets)
-    if total_tokens == 0:
-        raise ValueError("perplexity needs at least one scored token")
-    return math.exp(total_nll / total_tokens)
+        rows.append(model.logits(seq[:-1]))
+        targets.extend(seq[1:])
+    if not targets:
+        raise ValueError("mean_nll needs at least one scored token")
+    return cross_entropy(concat(rows), targets), len(targets)
+
+
+def perplexity(model, sequences) -> float:
+    """exp of :func:`mean_nll`."""
+    return math.exp(mean_nll(model, sequences)[0].item())
 
 
 def score_sample(prompt_tokens, reference_tokens, output_tokens) -> SampleScores:

@@ -11,7 +11,6 @@ from ..numerics import (
     Rng,
     Tensor,
     cos,
-    cross_entropy,
     derive_seed,
     init_bias,
     init_weight,
@@ -67,10 +66,10 @@ def quantum_positional_encoding(n_positions: int, d: int, omega: Tensor, phases:
     return interleave_columns(even, odd)
 
 
-def classical_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = True) -> Tensor:
-    """softmax(q k^T / sqrt(width)) v with optional causal masking."""
+def classical_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Causally masked softmax(q k^T / sqrt(width)) v."""
     scale = 1.0 / math.sqrt(k.shape[1])
-    weights = masked_softmax_rows(matmul(q, transpose(k)) * scale, causal)
+    weights = masked_softmax_rows(matmul(q, transpose(k)) * scale, causal=True)
     return matmul(weights, v)
 
 
@@ -137,30 +136,22 @@ class BaseModel:
         if n > self.config.max_seq_len:
             raise ValueError(f"sequence of length {n} exceeds max_seq_len={self.config.max_seq_len}")
 
-    def sequence_nll(self, token_ids, pad_to: int | None = None, pad_id: int = 0):
-        """Teacher-forced mean NLL of one sequence, optionally padded.
-
-        Returns (scalar tensor, number of valid target positions).
-        """
-        m = len(token_ids)
-        if m < 2:
-            raise ValueError("need at least two tokens for next-token loss")
-        length = pad_to if pad_to is not None else m
-        padded = list(token_ids) + [pad_id] * (length - m)
-        inputs, targets = padded[:-1], padded[1:]
-        mask = [i < m - 1 for i in range(length - 1)]
-        return cross_entropy(self.logits(inputs), targets, mask), m - 1
-
     # -- checkpoint support ---------------------------------------------------
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state_arrays(self, arrays: dict):
+        """Copy in one array per parameter; names and shapes must match exactly."""
         missing = set(self.params) - set(arrays)
         if missing:
             raise ValueError(f"checkpoint missing parameters: {sorted(missing)}")
+        unknown = set(arrays) - set(self.params)
+        if unknown:
+            raise ValueError(f"checkpoint has unknown parameters: {sorted(unknown)}")
         for name, t in self.params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64).reshape(t.shape)
+            arr = np.asarray(arrays[name], dtype=np.float64)
+            if arr.shape != t.shape:
+                raise ValueError(f"checkpoint parameter {name!r} has shape {arr.shape}, model expects {t.shape}")
             t.data[...] = arr
 
 

@@ -51,7 +51,7 @@ class QasaModel(BaseModel):
         head_outs = []
         for a in range(h):
             q, k, v = self.head_qkv(x[:, a * dh:(a + 1) * dh], a)
-            head_outs.append(classical_attention(q, k, v, causal=True))
+            head_outs.append(classical_attention(q, k, v))
         mixed = concat(head_outs, axis=1)
         decoded = matmul(gelu(matmul(mixed, self.dec_w1) + self.dec_b1), self.dec_w2) + self.dec_b2
         return self.lm_head(decoded)

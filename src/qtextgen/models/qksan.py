@@ -68,7 +68,7 @@ class QksanHead:
         phases = cos(matmul(z, transpose(self.omega)) + self.b_phase)
         return envelope * phases
 
-    def attention(self, x: Tensor, causal: bool = True) -> Tensor:
+    def attention(self, x: Tensor) -> Tensor:
         n = x.shape[0]
         q = matmul(x, self.w_q) + self.b_q
         k = matmul(x, self.w_k) + self.b_k
@@ -81,7 +81,7 @@ class QksanHead:
         if not np.isfinite(combined.data).all():
             bad = int(np.argwhere(~np.isfinite(combined.data).all(axis=1))[0][0])
             raise FloatingPointError(f"non-finite attention score at row {bad} of {n}")
-        weights = masked_softmax_rows(combined, causal)
+        weights = masked_softmax_rows(combined, causal=True)
         gate = sigmoid(matmul(self.feature_map(v), self.u_v) + self.c_v) * cos(matmul(v, transpose(self.w_omega)) + self.b_omega)
         return matmul(weights, v * gate)
 
@@ -113,8 +113,8 @@ class QksanBlock:
         self.ln2_g = add(p + "ln2.gain", init_bias(d) + 1.0)
         self.ln2_b = add(p + "ln2.shift", init_bias(d))
 
-    def multi_head(self, x: Tensor, causal: bool = True) -> Tensor:
-        mixed = concat([head.attention(x, causal) for head in self.heads], axis=1)
+    def multi_head(self, x: Tensor) -> Tensor:
+        mixed = concat([head.attention(x) for head in self.heads], axis=1)
         return matmul(mixed, self.w_o) + self.b_o
 
     def forward(self, x: Tensor) -> Tensor:

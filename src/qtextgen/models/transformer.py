@@ -51,8 +51,7 @@ class TransformerModel(BaseModel):
             k = matmul(a, blk["w_k"]) + blk["b_k"]
             v = matmul(a, blk["w_v"]) + blk["b_v"]
             heads = [
-                classical_attention(q[:, i * dh:(i + 1) * dh], k[:, i * dh:(i + 1) * dh],
-                                    v[:, i * dh:(i + 1) * dh], causal=True)
+                classical_attention(q[:, i * dh:(i + 1) * dh], k[:, i * dh:(i + 1) * dh], v[:, i * dh:(i + 1) * dh])
                 for i in range(h)
             ]
             mixed = concat(heads, axis=1)

@@ -36,8 +36,6 @@ __all__ = [
     "sin",
     "exp",
     "log",
-    "activate",
-    "ACTIVATIONS",
     "masked_softmax_rows",
     "layer_norm",
     "cross_entropy",
@@ -360,24 +358,6 @@ def gelu(a):
     return record_op(out, (a,), bw)
 
 
-ACTIVATIONS = {
-    "relu": relu,
-    "gelu": gelu,
-    "sigmoid": sigmoid,
-    "cosine": cos,
-    "exponential": exp,
-    "logarithm": log,
-}
-
-
-def activate(a, kind: str):
-    try:
-        fn = ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}; choose from {sorted(ACTIVATIONS)}") from None
-    return fn(a)
-
-
 # ---------------------------------------------------------------------------
 # shape / gather ops
 # ---------------------------------------------------------------------------
@@ -587,39 +567,31 @@ def layer_norm(x, gain, shift, eps=1e-5):
     return record_op(out, (x, gain, shift), bw)
 
 
-def cross_entropy(logits, targets, mask=None):
-    """Mean negative log-likelihood over valid positions, log-sum-exp stabilized.
+def cross_entropy(logits, targets):
+    """Mean negative log-likelihood over all rows, log-sum-exp stabilized.
 
-    ``targets`` are token ids, one per row of ``logits``; ``mask`` marks the
-    rows that contribute (padding rows carry False).
+    ``targets`` are token ids, one per row of ``logits``.
     """
     logits = _lift(logits)
     if logits.ndim != 2:
         raise ValueError(f"cross_entropy expects 2-D logits, got shape {logits.shape}")
     n, v = logits.shape
+    if n == 0:
+        raise ValueError("cross_entropy needs at least one row")
     targets = np.asarray(targets, dtype=np.intp)
     if targets.shape != (n,):
         raise ValueError(f"targets must have length {n}, got {targets.shape}")
-    if targets.size and (targets.min() < 0 or targets.max() >= v):
+    if targets.min() < 0 or targets.max() >= v:
         raise IndexError(f"target id out of range for vocabulary of size {v}")
-    if mask is None:
-        valid = np.ones(n, dtype=bool)
-    else:
-        valid = np.asarray(mask, dtype=bool)
-        if valid.shape != (n,):
-            raise ValueError(f"mask must have length {n}, got {valid.shape}")
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise ValueError("cross_entropy needs at least one valid position")
     m = logits.data.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(logits.data - m).sum(axis=1, keepdims=True))
     nll = lse[:, 0] - logits.data[np.arange(n), targets]
-    out = Tensor(np.asarray((nll * valid).sum() / n_valid), copy=False)
+    out = Tensor(np.asarray(nll.sum() / n), copy=False)
 
     def bw(g):
         p = np.exp(logits.data - lse)
         p[np.arange(n), targets] -= 1.0
-        p *= (valid / n_valid * float(g))[:, None]
+        p *= (1.0 / n) * float(g)
         return (p,)
 
     return record_op(out, (logits,), bw)

@@ -114,6 +114,18 @@ class TestTrainGenerateEvaluate:
         assert metrics["model"] == "MLP"
         assert metrics["perplexity"] >= 1.0
 
+    def test_mismatched_checkpoint_is_usage_error(self, trained, tmp_path, capsys):
+        payload = json.loads((trained / "out" / "mlp_proverbs.ckpt.json").read_text())
+        w_2 = payload["params"]["w_2"]
+        w_2["shape"] = w_2["shape"][::-1]
+        cfg_path = _tiny_config(tmp_path)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "mlp_proverbs.ckpt.json").write_text(json.dumps(payload))
+        for command in (["generate", "--prompt", "actions speak"], ["evaluate"]):
+            code = main([command[0], "--model", "mlp", "--dataset", "proverbs", "--config", str(cfg_path), *command[1:]])
+            assert code == 1
+            assert "w_2" in capsys.readouterr().err
+
 
 class TestBenchmarkAndReport:
     def test_tiny_benchmark_and_report_round_trip(self, tmp_path, capsys):

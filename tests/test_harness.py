@@ -2,9 +2,13 @@
 
 import json
 import math
+from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from qtextgen.corpus import Subset, synthesize_datasets, train_val_split
 from qtextgen.harness import (
@@ -24,9 +28,10 @@ from qtextgen.harness import (
     write_tables,
 )
 from qtextgen.harness.benchmark import BenchmarkResult
+from qtextgen.harness.train import batch_loss, validation_loss
 from qtextgen.metrics import perplexity
-from qtextgen.models import build_model, default_config
-from qtextgen.numerics import Adam, Rng
+from qtextgen.models import ARCHITECTURES, build_model, default_config
+from qtextgen.numerics import Adam, ComputationRecord, Rng, cross_entropy
 
 
 def _dataset(name="proverbs", seed=42):
@@ -71,6 +76,31 @@ class TestFit:
         assert retained == pytest.approx(min(log.val_losses), abs=1e-9)
         assert log.best_val_loss == pytest.approx(min(log.val_losses), abs=1e-12)
 
+    def test_every_forward_runs_one_unpadded_sequence(self):
+        ds = _dataset("short_stories")
+        cfg = _quick_cfg(epochs=2)
+        train, val = train_val_split(ds, cfg.train_fraction, seed=cfg.seed)
+        model = build_model(model_config_for("mlp", ds, cfg, seed=0))
+        inputs = Counter()
+        forward = model.logits
+
+        def logits(ids):
+            inputs[tuple(ids)] += 1
+            return forward(ids)
+
+        model.logits = logits
+        log = fit(model, train.sequences, val.sequences, cfg, Rng(0))
+        assert len(log.train_losses) == 2
+        want = Counter()
+        for seq in [*train.sequences, *val.sequences]:
+            want[tuple(seq[:-1])] += 2
+        assert inputs == want
+
+    def test_validation_loss_is_log_perplexity(self):
+        model, _, (_, val) = train_on_dataset("mlp", _dataset(), _quick_cfg(epochs=1))
+        loss = validation_loss(model, val.sequences)
+        assert loss == pytest.approx(math.log(perplexity(model, val.sequences)), rel=1e-14)
+
     def test_early_stopping_triggers_with_patience_one(self):
         ds = _dataset()
         # Adam steps of ~1e-12 cannot improve by min_delta: first epoch sets the best, the next stops
@@ -98,6 +128,52 @@ class TestFit:
         train, val = train_val_split(ds, 0.8)
         with pytest.raises(RuntimeError, match="epoch 1, batch 0"):
             fit(model, train.sequences, val.sequences, _quick_cfg(), Rng(0))
+
+
+_VOCAB = 11
+
+
+@lru_cache(maxsize=None)
+def _small_model(arch):
+    return build_model(default_config(arch, vocab_size=_VOCAB, max_seq_len=9, seed=5))
+
+
+def _param_grads(model, loss):
+    for t in model.params.values():
+        t.zero_grad()
+    with ComputationRecord() as rec:
+        rec.backward(loss())
+    return {name: np.zeros_like(t.data) if t.grad is None else t.grad for name, t in model.params.items()}
+
+
+class TestBatchLoss:
+    @given(arch=st.sampled_from(ARCHITECTURES),
+           batch=st.lists(st.lists(st.integers(0, _VOCAB - 1), min_size=1, max_size=9), min_size=1, max_size=5))
+    def test_equals_token_weighted_mean_of_sequence_losses(self, arch, batch):
+        scored = [seq for seq in batch if len(seq) >= 2]
+        assume(scored)
+        model = _small_model(arch)
+        n_total = sum(len(seq) - 1 for seq in scored)
+
+        def reference():
+            total = None
+            for seq in scored:
+                term = cross_entropy(model.logits(seq[:-1]), seq[1:]) * ((len(seq) - 1) / n_total)
+                total = term if total is None else total + term
+            return total
+
+        loss, tokens = batch_loss(model, batch)
+        assert tokens == n_total
+        assert loss.item() == pytest.approx(reference().item(), rel=1e-12)
+        got = _param_grads(model, lambda: batch_loss(model, batch)[0])
+        want = _param_grads(model, reference)
+        scale = max(float(np.abs(g).max()) for g in want.values())
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12 * scale, err_msg=name)
+
+    def test_needs_one_scored_sequence(self):
+        with pytest.raises(ValueError):
+            batch_loss(_small_model("mlp"), [[3], [4]])
 
 
 class TestEvaluate:
@@ -161,6 +237,19 @@ class TestCheckpoint:
             np.testing.assert_array_equal(clone.params[name].data, p.data)
         ids = [1, 4, 2]
         np.testing.assert_array_equal(clone.logits(ids).data, model.logits(ids).data)
+
+    def test_transposed_parameter_rejected(self):
+        model = _small_model("mlp")
+        arrays = model.state_arrays()
+        arrays["w_2"] = arrays["w_2"].T
+        with pytest.raises(ValueError, match="w_2"):
+            build_model(model.config).load_state_arrays(arrays)
+
+    def test_unknown_parameter_rejected(self):
+        model = _small_model("mlp")
+        arrays = {**model.state_arrays(), "not_a_param": np.zeros(3)}
+        with pytest.raises(ValueError, match="not_a_param"):
+            build_model(model.config).load_state_arrays(arrays)
 
     def test_version_gate(self, tmp_path):
         path = tmp_path / "bad.json"
