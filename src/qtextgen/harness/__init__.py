@@ -6,6 +6,7 @@ from .benchmark import (
     BenchmarkResult,
     benchmark_matrix,
     cell_seed,
+    evaluate_cell,
     run_cell,
     write_tables,
 )
@@ -23,6 +24,7 @@ __all__ = [
     "TrainLog",
     "benchmark_matrix",
     "cell_seed",
+    "evaluate_cell",
     "evaluate_model",
     "fit",
     "load_checkpoint",

@@ -14,9 +14,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..corpus import Dataset, synthesize_datasets
+from ..corpus import Dataset, synthesize_datasets, train_val_split
 from ..metrics import MetricsReport
-from ..models import DISPLAY_NAMES, OVERALL_ORDER, PER_DATASET_ORDER
+from ..models import DISPLAY_NAMES, OVERALL_ORDER, PER_DATASET_ORDER, BaseModel
 from ..numerics import Rng, derive_seed
 from .config import RunConfig
 from .evaluate import evaluate_model
@@ -30,6 +30,7 @@ __all__ = [
     "OVERALL_COLUMNS",
     "BenchmarkResult",
     "cell_seed",
+    "evaluate_cell",
     "run_cell",
     "benchmark_matrix",
     "write_tables",
@@ -49,12 +50,16 @@ def cell_seed(seed: int, dataset: str, arch: str) -> int:
     return derive_seed(seed, "cell", dataset, arch)
 
 
+def evaluate_cell(model: BaseModel, dataset: Dataset, cfg: RunConfig, cell_seed: int) -> MetricsReport:
+    """Score a cell's trained model on its validation split, sampling from the cell's decode stream."""
+    _, val_set = train_val_split(dataset, cfg.train_fraction, seed=cfg.seed)
+    decode_rng = Rng(derive_seed(cell_seed, "decode", model.arch, dataset.name))
+    return evaluate_model(model, val_set, dataset, decode=cfg.decode, temperature=cfg.temperature, rng=decode_rng)
+
+
 def run_cell(arch: str, dataset: Dataset, cfg: RunConfig, cell_seed: int):
-    model, log, (_, val_set) = train_on_dataset(arch, dataset, cfg, cell_seed)
-    decode_rng = Rng(derive_seed(cell_seed, "decode", arch, dataset.name))
-    report = evaluate_model(model, val_set, dataset, decode=cfg.decode,
-                            temperature=cfg.temperature, rng=decode_rng)
-    return model, log, report
+    model, log, _ = train_on_dataset(arch, dataset, cfg, cell_seed)
+    return model, log, evaluate_cell(model, dataset, cfg, cell_seed)
 
 
 def benchmark_matrix(cfg: RunConfig, progress=None) -> BenchmarkResult:

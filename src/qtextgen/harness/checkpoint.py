@@ -1,4 +1,4 @@
-"""Versioned JSON checkpoints: config, parameters, optimizer moments, RNG state.
+"""Versioned JSON checkpoints: architecture, config, parameters and epoch.
 
 JSON keeps the format inspectable and byte-order-free; Python's float repr
 round-trips exactly, so save/load restores bit-identical parameters.
@@ -13,15 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from ..models import BaseModel, ModelConfig, build_model
-from ..numerics import Adam
 
 FORMAT_VERSION = 1
 
 __all__ = ["FORMAT_VERSION", "save_checkpoint", "load_checkpoint", "restore_model"]
 
 
-def save_checkpoint(path, model: BaseModel, optimizer: Adam | None = None,
-                    epoch: int = 0, rng_state: dict | None = None) -> Path:
+def save_checkpoint(path, model: BaseModel, epoch: int = 0) -> Path:
     payload = {
         "format_version": FORMAT_VERSION,
         "arch": model.arch,
@@ -32,10 +30,6 @@ def save_checkpoint(path, model: BaseModel, optimizer: Adam | None = None,
         },
         "epoch": epoch,
     }
-    if optimizer is not None:
-        payload["adam"] = optimizer.state_dict()
-    if rng_state is not None:
-        payload["rng"] = rng_state
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")

@@ -12,14 +12,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from ..corpus import BOS_ID, EOS_ID, save_dataset, synthesize_datasets, train_val_split
+from ..corpus import BOS_ID, EOS_ID, save_dataset, synthesize_datasets
 from ..metrics import GenerationSample, MetricsReport
 from ..models import ARCHITECTURES, generate
 from ..numerics import Rng, derive_seed
-from .benchmark import BenchmarkResult, benchmark_matrix, cell_seed, write_tables
+from .benchmark import BenchmarkResult, benchmark_matrix, cell_seed, evaluate_cell, write_tables
 from .checkpoint import load_checkpoint, restore_model, save_checkpoint
 from .config import RunConfig, load_config
-from .evaluate import evaluate_model
 from .train import train_on_dataset
 
 __all__ = ["main", "entry"]
@@ -129,9 +128,7 @@ def cmd_evaluate(args) -> int:
     cfg = _run_config(args)
     dataset = _dataset_for(cfg, args.dataset)
     model = restore_model(load_checkpoint(_ckpt_path(cfg, args)))
-    _, val_set = train_val_split(dataset, cfg.train_fraction, seed=cfg.seed)
-    rng = Rng(derive_seed(cell_seed(cfg.seed, args.dataset, args.model), "decode", args.model, args.dataset))
-    report = evaluate_model(model, val_set, dataset, decode=cfg.decode, temperature=cfg.temperature, rng=rng)
+    report = evaluate_cell(model, dataset, cfg, cell_seed(cfg.seed, args.dataset, args.model))
     path = Path(cfg.out_dir) / f"{args.model}_{args.dataset}.metrics.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -1,11 +1,11 @@
 """The five benchmarked architectures as token-ids -> next-token-logits models."""
 
-from .common import EOS_ID, BaseModel, classical_attention, generate, quantum_positional_encoding, sinusoidal_table
+from .common import EOS_ID, BaseModel, causal_attention, generate, quantum_positional_encoding, sinusoidal_table
 from .config import ARCHITECTURES, DISPLAY_NAMES, ModelConfig, default_config
 from .mlp import MlpModel
 from .qasa import QasaModel
 from .qksan import QksanModel
-from .qrwkv import QrwkvLayer, QrwkvModel, measurement_attention
+from .qrwkv import QrwkvLayer, QrwkvModel
 from .transformer import TransformerModel
 
 _CLASSES = {
@@ -40,10 +40,9 @@ __all__ = [
     "QrwkvModel",
     "TransformerModel",
     "build_model",
-    "classical_attention",
+    "causal_attention",
     "default_config",
     "generate",
-    "measurement_attention",
     "quantum_positional_encoding",
     "sinusoidal_table",
 ]

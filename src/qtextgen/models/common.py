@@ -1,9 +1,10 @@
 """Components shared by every architecture: embeddings, positional tables,
-scaled dot-product attention, the output head, and autoregressive decoding."""
+multi-head causal attention, the output head, and autoregressive decoding."""
 
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -27,7 +28,7 @@ EOS_ID = 2  # corpus convention: PAD=0, BOS=1, EOS=2, UNK=3
 __all__ = [
     "EOS_ID",
     "BaseModel",
-    "classical_attention",
+    "causal_attention",
     "quantum_positional_encoding",
     "sinusoidal_table",
     "generate",
@@ -66,11 +67,27 @@ def quantum_positional_encoding(n_positions: int, d: int, omega: Tensor, phases:
     return interleave_columns(even, odd)
 
 
-def classical_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Causally masked softmax(q k^T / sqrt(width)) v."""
-    scale = 1.0 / math.sqrt(k.shape[1])
-    weights = masked_softmax_rows(matmul(q, transpose(k)) * scale, causal=True)
-    return matmul(weights, v)
+@cache
+def _head_mask(m: int, n_heads: int) -> np.ndarray:
+    """Additive (m*h, m*h) score mask: 0 where both rows belong to one head, -inf between heads."""
+    head = np.arange(m * n_heads) % n_heads
+    mask = np.where(head[:, None] == head[None, :], 0.0, -np.inf)
+    mask.setflags(write=False)
+    return mask
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tensor:
+    """Causally masked softmax(q k^T * scale) v for every head at once.
+
+    q, k and v have m rows of h column blocks, block a for head a.  Reshaped
+    to m*h rows, row t*h + a is head a at position t: one score matrix holds
+    every head, the head mask drops the scores between heads, and the causal
+    mask of the rows is then each head's own causal mask.
+    """
+    m = q.shape[0]
+    qr, kr, vr = (t.reshape(m * n_heads, t.shape[1] // n_heads) for t in (q, k, v))
+    scores = matmul(qr, transpose(kr)) * scale + Tensor(_head_mask(m, n_heads), copy=False)
+    return matmul(masked_softmax_rows(scores, causal=True), vr).reshape(m, v.shape[1])
 
 
 class BaseModel:
@@ -96,9 +113,6 @@ class BaseModel:
 
     def parameters(self) -> dict[str, Tensor]:
         return dict(self.params)
-
-    def n_parameters(self) -> int:
-        return sum(t.size for t in self.params.values())
 
     # -- shared components --------------------------------------------------
     def _build_embedding(self):

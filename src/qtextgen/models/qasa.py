@@ -2,18 +2,21 @@
 
 Each token embedding (plus its positional term) is split into head-width
 chunks; every head owns three independent parameter vectors over the same
-layered RY/CNOT topology.  Each token's chunk is amplitude-encoded, the
-circuit run, and the per-qubit Z expectations become that head's Q/K/V rows;
-one simulator call per head and role runs the circuit for every token.  Causal
-scaled dot-product attention over those measurement vectors feeds a two-layer
-feed-forward decoder, then the shared output head.
+layered RY/CNOT topology.  Each chunk is amplitude-encoded, the circuit run,
+and the per-qubit Z expectations become that head's Q/K/V rows.  The chunks of
+all heads and positions form one block of rows, each row with its own head's
+angles, so one simulator call per role runs every circuit of the sequence.
+The shared causal scaled dot-product attention over those measurement vectors
+feeds a two-layer feed-forward decoder, then the shared output head.
 """
 
 from __future__ import annotations
 
-from ..numerics import concat, gelu, init_bias, init_circuit_params, init_weight, matmul
+import math
+
+from ..numerics import broadcast_rows, concat, gelu, init_bias, init_circuit_params, init_weight, matmul
 from ..qsim import build_qasa_circuit, vqc_forward
-from .common import BaseModel, classical_attention
+from .common import BaseModel, causal_attention
 
 
 class QasaModel(BaseModel):
@@ -38,20 +41,15 @@ class QasaModel(BaseModel):
         self.dec_b2 = self._param("decoder.b_2", init_bias(d))
         self._build_head()
 
-    def head_qkv(self, chunk, head: int):
-        """Circuit readouts of one head's (m, head_dim) chunk: three (m, n_qubits) matrices."""
-        theta = self.circuit_params[head]
-        return tuple(vqc_forward(self.spec, theta[role], chunk) for role in ("q", "k", "v"))
-
     def logits(self, token_ids):
         m = len(token_ids)
         self.check_length(m)
-        dh, h = self.config.head_dim, self.config.n_heads
-        x = self.embed(token_ids) + self.positional(m)
-        head_outs = []
-        for a in range(h):
-            q, k, v = self.head_qkv(x[:, a * dh:(a + 1) * dh], a)
-            head_outs.append(classical_attention(q, k, v))
-        mixed = concat(head_outs, axis=1)
+        h, nq = self.config.n_heads, self.config.qasa_qubits
+        # row t*h + a is head a's chunk of position t, run with head a's angles
+        chunks = (self.embed(token_ids) + self.positional(m)).reshape(m * h, self.config.head_dim)
+        angles = {role: broadcast_rows(concat([head[role] for head in self.circuit_params]), m)
+                  .reshape(m * h, self.spec.n_params) for role in ("q", "k", "v")}
+        q, k, v = (vqc_forward(self.spec, angles[role], chunks).reshape(m, h * nq) for role in ("q", "k", "v"))
+        mixed = causal_attention(q, k, v, h, 1.0 / math.sqrt(nq))
         decoded = matmul(gelu(matmul(mixed, self.dec_w1) + self.dec_b1), self.dec_w2) + self.dec_b2
         return self.lm_head(decoded)

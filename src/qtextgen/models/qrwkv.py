@@ -11,8 +11,8 @@ Each layer runs three branches over all positions of the sequence at once:
   back to model width and combined with a small classical feed-forward of
   x_t, gated through GELU, and mixed with the previous position's activation;
 * measurement attention - query/key/value vectors projected from the same
-  circuit readout attend causally over the prefix (plain inner products, no
-  scaling).
+  circuit readout attend causally over the prefix: the shared
+  ``causal_attention`` with one head and no scaling (plain inner products).
 
 Residuals and the two LayerNorms follow:
 h_t = LN(x_t + y_time), y_t = LN(h_t + c_t + y_attn).
@@ -38,26 +38,18 @@ from ..numerics import (
     init_circuit_params,
     init_weight,
     layer_norm,
-    masked_softmax_rows,
     matmul,
     sigmoid,
-    transpose,
 )
 from ..numerics.tensor import exp as t_exp
 from ..numerics.tensor import neg as t_neg
 from ..qsim import build_qrwkv_circuit, vqc_forward
-from .common import BaseModel
+from .common import BaseModel, causal_attention
 
 
 def previous_rows(x: Tensor) -> Tensor:
     """Row t of the result is row t-1 of x; row 0 is zero (the state before the sequence)."""
     return matmul(Tensor(np.eye(x.shape[0], k=-1)), x)
-
-
-def measurement_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Causal prefix softmax over raw inner products of readout-derived rows."""
-    weights = masked_softmax_rows(matmul(q, transpose(k)), causal=True)
-    return matmul(weights, v)
 
 
 class QrwkvLayer:
@@ -137,8 +129,8 @@ class QrwkvLayer:
         readout = self.circuit_readout(x)
         y_time, _ = self.time_mix(x)
         c, _ = self.channel_mix(x, matmul(readout, self.w_emb))
-        y_attn = measurement_attention(matmul(readout, self.w_q), matmul(readout, self.w_k),
-                                       matmul(readout, self.w_v))
+        y_attn = causal_attention(matmul(readout, self.w_q), matmul(readout, self.w_k),
+                                  matmul(readout, self.w_v), 1, 1.0)
         h = layer_norm(x + y_time, self.ln1_g, self.ln1_b)
         return layer_norm(h + c + y_attn, self.ln2_g, self.ln2_b)
 

@@ -3,8 +3,10 @@ fixed sinusoidal positions, causal scaled dot-product attention."""
 
 from __future__ import annotations
 
-from ..numerics import Tensor, concat, init_bias, init_weight, layer_norm, matmul, relu
-from .common import BaseModel, classical_attention, sinusoidal_table
+import math
+
+from ..numerics import Tensor, init_bias, init_weight, layer_norm, matmul, relu
+from .common import BaseModel, causal_attention, sinusoidal_table
 
 
 class TransformerModel(BaseModel):
@@ -43,19 +45,14 @@ class TransformerModel(BaseModel):
     def logits(self, token_ids) -> Tensor:
         m = len(token_ids)
         self.check_length(m)
-        dh, h = self.config.head_dim, self.config.n_heads
+        h, scale = self.config.n_heads, 1.0 / math.sqrt(self.config.head_dim)
         x = self.embed(token_ids) + Tensor(self._pos_table[:m])
         for blk in self.blocks:
             a = layer_norm(x, blk["ln1_g"], blk["ln1_b"])
             q = matmul(a, blk["w_q"]) + blk["b_q"]
             k = matmul(a, blk["w_k"]) + blk["b_k"]
             v = matmul(a, blk["w_v"]) + blk["b_v"]
-            heads = [
-                classical_attention(q[:, i * dh:(i + 1) * dh], k[:, i * dh:(i + 1) * dh], v[:, i * dh:(i + 1) * dh])
-                for i in range(h)
-            ]
-            mixed = concat(heads, axis=1)
-            x = x + (matmul(mixed, blk["w_o"]) + blk["b_o"])
+            x = x + (matmul(causal_attention(q, k, v, h, scale), blk["w_o"]) + blk["b_o"])
             b = layer_norm(x, blk["ln2_g"], blk["ln2_b"])
             x = x + (matmul(relu(matmul(b, blk["w_1"]) + blk["b_1"]), blk["w_2"]) + blk["b_2"])
         return self.lm_head(layer_norm(x, self.final_g, self.final_b))

@@ -510,10 +510,11 @@ def reduce_mean(a, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 
 def masked_softmax_rows(s, causal: bool):
-    """Row softmax of a square score matrix, optionally causally masked.
+    """Row softmax of a score matrix, optionally causally masked.
 
-    Masked positions are exactly zero in the output; rows are stabilized by
-    subtracting the row max over unmasked entries.
+    Masked entries (those that are -inf, and under ``causal`` those above the
+    diagonal of the square scores) are exactly zero in the output; rows are
+    stabilized by subtracting the row max over unmasked entries.
     """
     s = _lift(s)
     if s.ndim != 2:
@@ -526,8 +527,6 @@ def masked_softmax_rows(s, causal: bool):
     finite = np.isfinite(scores)
     if not finite.any(axis=1).all():
         raise ValueError("softmax row with every entry masked or non-finite")
-    if not np.isfinite(scores[finite]).all():  # pragma: no cover - guarded above
-        raise ValueError("non-finite unmasked score")
     m = np.max(scores, axis=1, keepdims=True)
     e = np.exp(scores - m)
     y = e / e.sum(axis=1, keepdims=True)

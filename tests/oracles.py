@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from qtextgen.numerics import ComputationRecord, Tensor, cross_entropy
+from qtextgen.numerics import ComputationRecord, Tensor, concat, cross_entropy, masked_softmax_rows, matmul, transpose
 
 # ---------------------------------------------------------------------------
 # gradient checking
@@ -159,6 +159,25 @@ def random_circuit(rng: np.random.Generator, n_qubits: int, n_gates: int = 12):
             gates.append(GateOp(str(kind), int(rng.integers(n_qubits)), param_slot=slot))
             slot += 1
     return CircuitSpec(n_qubits, tuple(gates)), slot
+
+
+# ---------------------------------------------------------------------------
+# attention oracles
+# ---------------------------------------------------------------------------
+
+def per_head_attention_reference(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tensor:
+    """Multi-head causal attention one head at a time, on the tape.
+
+    Slices each head's column block out of the (m, h*w) inputs, attends over
+    its (m, m) causal scores, and concatenates the head outputs.
+    """
+    w = q.shape[1] // n_heads
+    heads = []
+    for a in range(n_heads):
+        cols = slice(a * w, (a + 1) * w)
+        scores = matmul(q[:, cols], transpose(k[:, cols])) * scale
+        heads.append(matmul(masked_softmax_rows(scores, causal=True), v[:, cols]))
+    return concat(heads, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from qtextgen.numerics import (
     sin,
     transpose,
 )
+from qtextgen.models import causal_attention
 from oracles import finite_diff_grad, op_grad_check, rel_err
 
 TOL = 1e-6
@@ -66,6 +67,7 @@ def _rand(*shape):
     (lambda v, lam: decay_scan(v, lam), [_rand(5, 3), 0.01 + 0.005 * _rand(3)]),    # lambda near 0
     (lambda v, lam: decay_scan(v, lam), [_rand(5, 3), 0.99 + 0.005 * _rand(3)]),    # lambda near 1
     (lambda v, lam: decay_scan(v, lam), [_rand(1, 4), 0.5 + 0.3 * _rand(4)]),       # T = 1
+    (lambda q, k, v: causal_attention(q, k, v, 3, 0.7), [_rand(4, 6), _rand(4, 6), _rand(4, 9)]),  # 3 heads
 ])
 def test_primitive_gradients(fn, arrays):
     assert op_grad_check(fn, arrays) < TOL

@@ -127,6 +127,19 @@ class TestTrainGenerateEvaluate:
             assert "w_2" in capsys.readouterr().err
 
 
+class TestEvaluateMatchesBenchmark:
+    def test_evaluate_writes_the_benchmark_cell_report(self, tmp_path, capsys):
+        # sampled decoding, so the report also depends on the cell's decode stream
+        cfg_path = _tiny_config(tmp_path, decode="sample", temperature=0.9)
+        cell = ["--model", "mlp", "--dataset", "proverbs", "--config", str(cfg_path)]
+        assert main(["train", *cell]) == 0
+        assert main(["evaluate", *cell]) == 0
+        assert main(["benchmark", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        reports = json.loads((out / "reports.json").read_text())
+        assert json.loads((out / "mlp_proverbs.metrics.json").read_text()) == reports[0]
+
+
 class TestBenchmarkAndReport:
     def test_tiny_benchmark_and_report_round_trip(self, tmp_path, capsys):
         cfg_path = _tiny_config(tmp_path, models=["mlp", "transformer"])

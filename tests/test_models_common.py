@@ -4,16 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qtextgen.models import (
     build_model,
-    classical_attention,
+    causal_attention,
     default_config,
     generate,
     quantum_positional_encoding,
     sinusoidal_table,
 )
-from qtextgen.numerics import Rng, Tensor, matmul
+from qtextgen.numerics import ComputationRecord, Rng, Tensor, matmul
+from oracles import per_head_attention_reference
+
+
+def classical_attention(q, k, v):
+    """Single-head attention scaled by 1/sqrt(width), as each transformer head computes it."""
+    return causal_attention(q, k, v, 1, 1.0 / math.sqrt(k.shape[1]))
 
 
 class TestClassicalAttention:
@@ -44,6 +52,42 @@ class TestClassicalAttention:
             w = w / w.sum()
             expected[i] = w @ v[: i + 1]
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+class TestCausalAttention:
+    @given(n_heads=st.integers(1, 4), width=st.integers(1, 5), m=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_head_oracle(self, n_heads, width, m, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=(m, n_heads * width)) for _ in range(3)]
+        probe = rng.normal(size=(m, n_heads * width))
+        scale = 1.0 / math.sqrt(width)
+        results = []
+        for attend in (causal_attention, per_head_attention_reference):
+            tensors = [Tensor(a) for a in arrays]
+            with ComputationRecord() as rec:
+                out = attend(*tensors, n_heads, scale)
+                rec.backward((out * Tensor(probe)).sum())
+            results.append((out.data, [t.grad for t in tensors]))
+        (out, grads), (expected, expected_grads) = results
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13)
+        largest = max(np.abs(g).max() for g in expected_grads)
+        for g, e in zip(grads, expected_grads):
+            np.testing.assert_allclose(g, e, rtol=0, atol=1e-12 * largest)
+
+    def test_heads_do_not_see_each_other(self):
+        rng = np.random.default_rng(11)
+        m, n_heads, width = 6, 3, 4
+        arrays = [rng.normal(size=(m, n_heads * width)) for _ in range(3)]
+        base = causal_attention(*(Tensor(a) for a in arrays), n_heads, 0.5).data
+        cols = slice(width, 2 * width)  # head 1
+        for role in range(3):
+            changed = [a.copy() for a in arrays]
+            changed[role][:, cols] = rng.normal(size=(m, width))
+            out = causal_attention(*(Tensor(a) for a in changed), n_heads, 0.5).data
+            assert not np.array_equal(out[:, cols], base[:, cols])
+            others = np.ones(n_heads * width, dtype=bool)
+            others[cols] = False
+            np.testing.assert_array_equal(out[:, others], base[:, others])
 
 
 class TestQuantumPositional:

@@ -2,9 +2,23 @@
 
 import numpy as np
 
+import qtextgen.models.qasa as qasa
 from qtextgen.models import build_model, default_config
 from qtextgen.numerics import Rng
 from oracles import model_grad_check
+
+
+def _recorded_circuit_runs(monkeypatch):
+    """Replace QASA's simulator entry with a pass-through that keeps every (params, x, readout)."""
+    runs, run = [], qasa.vqc_forward
+
+    def recording(spec, params, x):
+        out = run(spec, params, x)
+        runs.append((params.shape, x.shape, out))
+        return out
+
+    monkeypatch.setattr(qasa, "vqc_forward", recording)
+    return runs
 
 
 def _model(seed=0, **kw):
@@ -52,13 +66,26 @@ def test_zero_circuit_params_forward_is_finite():
     assert np.isfinite(out).all()
 
 
-def test_measurement_rows_lie_in_unit_interval():
+def test_measurement_rows_lie_in_unit_interval(monkeypatch):
     model = _model(seed=6)
-    x = model.embed([1, 4, 6]) + model.positional(3)
-    q, k, v = model.head_qkv(x[:, 0:4], 0)
-    for mat in (q, k, v):
+    runs = _recorded_circuit_runs(monkeypatch)
+    model.logits([1, 4, 6])
+    assert runs
+    for _, _, mat in runs:
         assert np.all(mat.data >= -1.0 - 1e-12)
         assert np.all(mat.data <= 1.0 + 1e-12)
+
+
+def test_one_circuit_call_per_role_runs_every_head_and_position(monkeypatch):
+    model = _model(seed=9, d_model=12, n_heads=3)
+    runs = _recorded_circuit_runs(monkeypatch)
+    m, h = 5, 3
+    model.logits([1, 4, 6, 2, 9])
+    assert len(runs) == 3
+    for params_shape, x_shape, out in runs:
+        assert params_shape == (m * h, model.spec.n_params)
+        assert x_shape == (m * h, model.config.head_dim)
+        assert out.shape == (m * h, model.config.qasa_qubits)
 
 
 def test_causality_under_suffix_perturbation():

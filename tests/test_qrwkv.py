@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtextgen.models import build_model, default_config, measurement_attention
+from qtextgen.models import build_model, causal_attention, default_config
 from qtextgen.numerics import Tensor, matmul
 from oracles import model_grad_check, qrwkv_layer_reference
 
@@ -13,6 +13,11 @@ def _model(seed=0, **kw):
     defaults = dict(vocab_size=11, max_seq_len=8, d_model=8, n_heads=2, d_ff=16, n_blocks=1, qrwkv_qubits=4)
     defaults.update(kw)
     return build_model(default_config("qrwkv", seed=seed, **defaults))
+
+
+def measurement_attention(q, k, v):
+    """One head over raw inner products, as each QRWKV layer calls it."""
+    return causal_attention(q, k, v, 1, 1.0)
 
 
 class TestTimeMixing:
