@@ -20,6 +20,7 @@ from ..models import DISPLAY_NAMES, OVERALL_ORDER, PER_DATASET_ORDER, BaseModel
 from ..numerics import Rng, derive_seed
 from .config import RunConfig
 from .evaluate import evaluate_model
+from .files import write_text_atomic
 from .train import TrainLog, train_on_dataset
 
 PER_DATASET_COLUMNS = ("Model", "Perplexity", "BLEU-1", "BLEU-2", "Distinct-1", "Repetition Rate")
@@ -105,9 +106,7 @@ def write_tables(result: BenchmarkResult, cfg: RunConfig) -> list[Path]:
                 continue
             rows.append([r.model, _fmt(r.perplexity), _fmt(r.bleu[0]), _fmt(r.bleu[1]),
                          _fmt(r.distinct[0]), _fmt(r.repetition_rate)])
-        path = out / f"results_{dataset_name}.csv"
-        path.write_text(_csv(rows), encoding="utf-8")
-        written.append(path)
+        written.append(write_text_atomic(out / f"results_{dataset_name}.csv", _csv(rows)))
 
     rows = [list(OVERALL_COLUMNS)]
     for arch in OVERALL_ORDER:
@@ -124,27 +123,20 @@ def write_tables(result: BenchmarkResult, cfg: RunConfig) -> list[Path]:
             _fmt(sum(c.distinct[0] for c in cells) / k),
             _fmt(sum(c.repetition_rate for c in cells) / k),
         ])
-    overall = out / "results_overall.csv"
-    overall.write_text(_csv(rows), encoding="utf-8")
-    written.append(overall)
+    written.append(write_text_atomic(out / "results_overall.csv", _csv(rows)))
 
     ordered = sorted(result.reports, key=lambda r: (r.dataset, r.model))
-    reports_path = out / "reports.json"
-    reports_path.write_text(json.dumps([r.as_dict() for r in ordered], indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
-    written.append(reports_path)
+    written.append(write_text_atomic(out / "reports.json",
+                                     json.dumps([r.as_dict() for r in ordered], indent=2, sort_keys=True) + "\n"))
 
-    logs_path = out / "train_logs.json"
     ordered_logs = {
         f"{dataset}/{arch}": log.as_dict(include_times=False)
         for (dataset, arch), log in sorted(result.logs.items())
     }
-    logs_path.write_text(json.dumps(ordered_logs, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    written.append(logs_path)
+    written.append(write_text_atomic(out / "train_logs.json",
+                                     json.dumps(ordered_logs, indent=2, sort_keys=True) + "\n"))
 
     if result.errors:
-        errors_path = out / "errors.json"
-        errors_path.write_text(json.dumps({f"{d}/{a}": msg for (d, a), msg in sorted(result.errors.items())},
-                                          indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        written.append(errors_path)
+        errors = {f"{d}/{a}": msg for (d, a), msg in sorted(result.errors.items())}
+        written.append(write_text_atomic(out / "errors.json", json.dumps(errors, indent=2, sort_keys=True) + "\n"))
     return written

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ..models import BaseModel, ModelConfig, build_model
+from .files import write_text_atomic
 
 FORMAT_VERSION = 1
 
@@ -32,8 +33,7 @@ def save_checkpoint(path, model: BaseModel, epoch: int = 0) -> Path:
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    return write_text_atomic(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> dict:

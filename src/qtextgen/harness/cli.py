@@ -19,6 +19,7 @@ from ..numerics import Rng, derive_seed
 from .benchmark import BenchmarkResult, benchmark_matrix, cell_seed, evaluate_cell, write_tables
 from .checkpoint import load_checkpoint, restore_model, save_checkpoint
 from .config import RunConfig, load_config
+from .files import write_text_atomic
 from .train import train_on_dataset
 
 __all__ = ["main", "entry"]
@@ -104,8 +105,8 @@ def cmd_train(args) -> int:
     dataset = _dataset_for(cfg, args.dataset)
     model, log, _ = train_on_dataset(args.model, dataset, cfg, cell_seed(cfg.seed, args.dataset, args.model))
     ckpt = save_checkpoint(_ckpt_path(cfg, args), model, epoch=len(log.train_losses))
-    log_path = Path(cfg.out_dir) / f"{args.model}_{args.dataset}.trainlog.json"
-    log_path.write_text(json.dumps(log.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    log_path = write_text_atomic(Path(cfg.out_dir) / f"{args.model}_{args.dataset}.trainlog.json",
+                                 json.dumps(log.as_dict(), indent=2, sort_keys=True) + "\n")
     print(f"{log.stop_reason} after {len(log.train_losses)} epochs; "
           f"best validation loss {log.best_val_loss:.4f} at epoch {log.best_epoch}")
     print(f"wrote {ckpt} and {log_path}")
@@ -131,7 +132,7 @@ def cmd_evaluate(args) -> int:
     report = evaluate_cell(model, dataset, cfg, cell_seed(cfg.seed, args.dataset, args.model))
     path = Path(cfg.out_dir) / f"{args.model}_{args.dataset}.metrics.json"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text_atomic(path, json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     print(f"wrote {path}", file=sys.stderr)
     return 0

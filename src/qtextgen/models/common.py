@@ -4,7 +4,6 @@ multi-head causal attention, the output head, and autoregressive decoding."""
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 
@@ -67,27 +66,25 @@ def quantum_positional_encoding(n_positions: int, d: int, omega: Tensor, phases:
     return interleave_columns(even, odd)
 
 
-@cache
-def _head_mask(m: int, n_heads: int) -> np.ndarray:
-    """Additive (m*h, m*h) score mask: 0 where both rows belong to one head, -inf between heads."""
-    head = np.arange(m * n_heads) % n_heads
-    mask = np.where(head[:, None] == head[None, :], 0.0, -np.inf)
-    mask.setflags(write=False)
-    return mask
+def split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """(m, h*w) rows whose column block a belongs to head a -> the (h, m, w) stack of head rows."""
+    return transpose(x.reshape(x.shape[0], n_heads, -1), (1, 0, 2))
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tensor:
-    """Causally masked softmax(q k^T * scale) v for every head at once.
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float, bias: Tensor | None = None) -> Tensor:
+    """Causally masked softmax(q k^T * scale + bias) v for every head at once.
 
-    q, k and v have m rows of h column blocks, block a for head a.  Reshaped
-    to m*h rows, row t*h + a is head a at position t: one score matrix holds
-    every head, the head mask drops the scores between heads, and the causal
-    mask of the rows is then each head's own causal mask.
+    q, k and v are each (m, h*w) rows, column block a for head a, or an
+    (h, m, w) stack of head rows.  The heads are the batch axis of one
+    (h, m, m) score stack; ``bias`` is an optional additive term of that
+    shape.  The result has the layout of v.
     """
-    m = q.shape[0]
-    qr, kr, vr = (t.reshape(m * n_heads, t.shape[1] // n_heads) for t in (q, k, v))
-    scores = matmul(qr, transpose(kr)) * scale + Tensor(_head_mask(m, n_heads), copy=False)
-    return matmul(masked_softmax_rows(scores, causal=True), vr).reshape(m, v.shape[1])
+    qh, kh, vh = (t if t.ndim == 3 else split_heads(t, n_heads) for t in (q, k, v))
+    scores = matmul(qh, transpose(kh, (0, 2, 1))) * scale
+    if bias is not None:
+        scores = scores + bias
+    out = matmul(masked_softmax_rows(scores, causal=True), vh)
+    return out if v.ndim == 3 else transpose(out, (1, 0, 2)).reshape(v.shape)
 
 
 class BaseModel:

@@ -2,11 +2,12 @@
 
 Per head, queries/keys/values are affine projections of the block input.  A
 feature map phi(z) = gaussian(z) * cos(z Omega^T + b) lifts Q and K rows into
-a kernel space; the Gram matrix of those features enters the attention score
-in log space, so the resulting weights are proportional to
+a kernel space; log(relu(gamma) + eps) of their Gram matrix gamma is the score
+bias of the shared causal attention, so the weights are proportional to
 exp(dot-score) * kernel-similarity.  Values are modulated by a sigmoid/cosine
-gate before mixing.  The block adds a gated residual enhancement and a
-ReLU*cosine feed-forward, each followed by LayerNorm.
+gate before mixing; all heads run at once as the leading axis of (h, m, .)
+stacks.  The block adds a gated residual enhancement and a ReLU*cosine
+feed-forward, each followed by LayerNorm.
 """
 
 from __future__ import annotations
@@ -23,20 +24,28 @@ from ..numerics import (
     init_weight,
     layer_norm,
     log,
-    masked_softmax_rows,
     matmul,
     relu,
     sigmoid,
     transpose,
 )
 from ..numerics.tensor import exp as t_exp
-from .common import BaseModel
+from .common import BaseModel, causal_attention, split_heads
 
 SCORE_EPS = 1e-6  # floor inside log(kernel + eps)
 
 
+def feature_map(z: Tensor, p: dict) -> Tensor:
+    """Row-wise gaussian envelope times a cosine bank for each head of an (h, m, dh) stack; ``p``: head_stacks."""
+    diff = z - p["mu"]
+    sq = (diff * diff).sum(axis=2, keepdims=True)
+    envelope = t_exp(-(sq / (2.0 * t_exp(2.0 * p["log_sigma"]))))
+    phases = cos(matmul(z, transpose(p["omega"], (0, 2, 1))) + p["b_phase"])
+    return envelope * phases
+
+
 class QksanHead:
-    """Projections plus feature-map and value-gate parameters for one head."""
+    """Projections plus feature-map and value-gate parameters for one head (the block runs all heads at once)."""
 
     def __init__(self, model: BaseModel, block: int, index: int):
         cfg = model.config
@@ -59,31 +68,6 @@ class QksanHead:
         self.c_v = add(p + "gate.c_v", init_bias(dh))
         self.w_omega = add(p + "gate.w_omega", init_weight(rng, dh, (dh, dh)))
         self.b_omega = add(p + "gate.b_omega", init_bias(dh))
-
-    def feature_map(self, z: Tensor) -> Tensor:
-        """Row-wise gaussian envelope times a bank of cosine phases."""
-        diff = z - self.mu
-        sq = (diff * diff).sum(axis=1, keepdims=True)
-        envelope = t_exp(-(sq / (2.0 * t_exp(2.0 * self.log_sigma))))
-        phases = cos(matmul(z, transpose(self.omega)) + self.b_phase)
-        return envelope * phases
-
-    def attention(self, x: Tensor) -> Tensor:
-        n = x.shape[0]
-        q = matmul(x, self.w_q) + self.b_q
-        k = matmul(x, self.w_k) + self.b_k
-        v = matmul(x, self.w_v) + self.b_v
-        s = matmul(q, transpose(k)) * (1.0 / math.sqrt(self.dh))
-        gamma = matmul(self.feature_map(q), transpose(self.feature_map(k)))
-        # the cosine bank can make individual kernel entries negative even
-        # though the Gram matrix is PSD; clamp before the log
-        combined = s + log(relu(gamma) + SCORE_EPS)
-        if not np.isfinite(combined.data).all():
-            bad = int(np.argwhere(~np.isfinite(combined.data).all(axis=1))[0][0])
-            raise FloatingPointError(f"non-finite attention score at row {bad} of {n}")
-        weights = masked_softmax_rows(combined, causal=True)
-        gate = sigmoid(matmul(self.feature_map(v), self.u_v) + self.c_v) * cos(matmul(v, transpose(self.w_omega)) + self.b_omega)
-        return matmul(weights, v * gate)
 
 
 class QksanBlock:
@@ -113,8 +97,27 @@ class QksanBlock:
         self.ln2_g = add(p + "ln2.gain", init_bias(d) + 1.0)
         self.ln2_b = add(p + "ln2.shift", init_bias(d))
 
+    def head_stacks(self) -> dict[str, Tensor]:
+        """Head a's feature-map and gate parameters as entry a of (h, ., .) stacks; vectors become rows."""
+        names = ("mu", "log_sigma", "omega", "b_phase", "u_v", "c_v", "w_omega", "b_omega")
+        per_head = {name: [getattr(head, name) for head in self.heads] for name in names}
+        return {name: concat([t.reshape((1,) * (3 - t.ndim) + t.shape) for t in ts]) for name, ts in per_head.items()}
+
+    def attention(self, x: Tensor) -> Tensor:
+        """Every head's kernel attention over the rows of x, as an (h, m, head_dim) stack."""
+        h, p = len(self.heads), self.head_stacks()
+        q, k, v = (split_heads(matmul(x, concat([getattr(head, "w_" + r) for head in self.heads], axis=1))
+                               + concat([getattr(head, "b_" + r) for head in self.heads]), h) for r in "qkv")
+        gamma = matmul(feature_map(q, p), transpose(feature_map(k, p), (0, 2, 1)))
+        # the cosine bank can make individual kernel entries negative even
+        # though each head's Gram matrix is PSD; clamp before the log
+        bias = log(relu(gamma) + SCORE_EPS)
+        gate = (sigmoid(matmul(feature_map(v, p), p["u_v"]) + p["c_v"])
+                * cos(matmul(v, transpose(p["w_omega"], (0, 2, 1))) + p["b_omega"]))
+        return causal_attention(q, k, v * gate, h, 1.0 / math.sqrt(q.shape[2]), bias)
+
     def multi_head(self, x: Tensor) -> Tensor:
-        mixed = concat([head.attention(x) for head in self.heads], axis=1)
+        mixed = transpose(self.attention(x), (1, 0, 2)).reshape(x.shape[0], -1)
         return matmul(mixed, self.w_o) + self.b_o
 
     def forward(self, x: Tensor) -> Tensor:

@@ -5,10 +5,10 @@ appends one node to the active :class:`ComputationRecord`; creation order is
 already a topological order, so the backward pass is a single reverse sweep.
 Gradients are accumulated into *leaf* tensors only (parameters, inputs);
 intermediates stay grad-free.  Tensors are value-immutable once created
-inside a record.
+inside a record, so ``reshape`` and ``transpose`` return views.
 
 There is deliberately no general broadcasting machinery beyond numpy's rules
-for elementwise ops; matmul is strictly 2-D.
+for elementwise ops; matmul takes two matrices or two equally batched stacks.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ class Tensor:
 
     ``node_id`` is the index of the op that produced this tensor in the
     active record, or None for leaves and tensors built outside a record.
+    Parameters are the one thing written in place, by ``Adam.step`` and
+    ``load_state_arrays``, and only after the step's backward pass.
     """
 
     __slots__ = ("data", "grad", "node_id")
@@ -75,10 +77,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    @property
-    def T(self):
-        return transpose(self)
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -166,9 +164,6 @@ class ComputationRecord:
     def add(self, node) -> int:
         self.nodes.append(node)
         return len(self.nodes) - 1
-
-    def clear(self):
-        self.nodes.clear()
 
     def __len__(self):
         return len(self.nodes)
@@ -364,29 +359,29 @@ def gelu(a):
 
 def matmul(a, b):
     a, b = _lift(a), _lift(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul requires 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim != b.ndim or a.ndim not in (2, 3) or a.shape[:-2] != b.shape[:-2]:
+        raise ValueError(f"matmul requires two 2-D or two equally batched 3-D operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: inner dimensions disagree: {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data, copy=False)
 
     def bw(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
 
     return record_op(out, (a, b), bw)
 
 
-def transpose(a):
+def transpose(a, axes=(1, 0)):
     a = _lift(a)
-    if a.ndim != 2:
-        raise ValueError(f"transpose expects a 2-D tensor, got shape {a.shape}")
-    out = Tensor(a.data.T, copy=True)
-    return record_op(out, (a,), lambda g: (g.T,))
+    if sorted(axes) != list(range(a.ndim)):
+        raise ValueError(f"transpose axes {axes} do not permute the axes of shape {a.shape}")
+    out = Tensor(a.data.transpose(axes), copy=False)
+    return record_op(out, (a,), lambda g: (g.transpose(np.argsort(axes)),))
 
 
 def reshape(a, shape):
     a = _lift(a)
-    out = Tensor(a.data.reshape(shape), copy=True)
+    out = Tensor(a.data.reshape(shape), copy=False)
     return record_op(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
@@ -510,30 +505,35 @@ def reduce_mean(a, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 
 def masked_softmax_rows(s, causal: bool):
-    """Row softmax of a score matrix, optionally causally masked.
+    """Softmax along the last axis of 2-D scores or of an (n, ., .) stack of them.
 
     Masked entries (those that are -inf, and under ``causal`` those above the
-    diagonal of the square scores) are exactly zero in the output; rows are
-    stabilized by subtracting the row max over unmasked entries.
+    diagonal of each square score matrix) are exactly zero in the output; rows
+    are stabilized by subtracting the row max over unmasked entries.  A row
+    holding NaN or +inf raises FloatingPointError naming that row.
     """
     s = _lift(s)
-    if s.ndim != 2:
-        raise ValueError(f"masked_softmax_rows expects 2-D scores, got shape {s.shape}")
-    scores = np.array(s.data, copy=True)
+    if s.ndim not in (2, 3):
+        raise ValueError(f"masked_softmax_rows expects 2-D or 3-D scores, got shape {s.shape}")
+    scores = s.data
     if causal:
-        if scores.shape[0] != scores.shape[1]:
+        if scores.shape[-2] != scores.shape[-1]:
             raise ValueError(f"causal mask requires square scores, got {s.shape}")
-        scores[np.triu_indices(scores.shape[0], k=1)] = -np.inf
-    finite = np.isfinite(scores)
-    if not finite.any(axis=1).all():
-        raise ValueError("softmax row with every entry masked or non-finite")
-    m = np.max(scores, axis=1, keepdims=True)
+        scores = np.where(np.tri(scores.shape[-1], dtype=bool), scores, -np.inf)
+    m = np.max(scores, axis=-1, keepdims=True)
+    bad = np.argwhere(np.isnan(m) | (m == np.inf))
+    if bad.size:
+        *matrix, row, _ = bad[0]
+        raise FloatingPointError(f"non-finite softmax score (NaN or +inf) in row {row}"
+                                 + (f" of matrix {matrix[0]}" if matrix else ""))
+    if np.isneginf(m).any():
+        raise ValueError("softmax row with every entry masked")
     e = np.exp(scores - m)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y, copy=False)
 
     def bw(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return record_op(out, (s,), bw)

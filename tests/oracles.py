@@ -10,7 +10,20 @@ import math
 
 import numpy as np
 
-from qtextgen.numerics import ComputationRecord, Tensor, concat, cross_entropy, masked_softmax_rows, matmul, transpose
+from qtextgen.numerics import (
+    ComputationRecord,
+    Tensor,
+    concat,
+    cos,
+    cross_entropy,
+    exp,
+    log,
+    masked_softmax_rows,
+    matmul,
+    relu,
+    sigmoid,
+    transpose,
+)
 
 # ---------------------------------------------------------------------------
 # gradient checking
@@ -165,19 +178,51 @@ def random_circuit(rng: np.random.Generator, n_qubits: int, n_gates: int = 12):
 # attention oracles
 # ---------------------------------------------------------------------------
 
-def per_head_attention_reference(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tensor:
+def per_head_attention_reference(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
+                                 bias: Tensor | None = None) -> Tensor:
     """Multi-head causal attention one head at a time, on the tape.
 
     Slices each head's column block out of the (m, h*w) inputs, attends over
-    its (m, m) causal scores, and concatenates the head outputs.
+    its (m, m) causal scores plus its slice of the optional (h, m, m) bias,
+    and concatenates the head outputs.
     """
     w = q.shape[1] // n_heads
     heads = []
     for a in range(n_heads):
         cols = slice(a * w, (a + 1) * w)
         scores = matmul(q[:, cols], transpose(k[:, cols])) * scale
+        if bias is not None:
+            scores = scores + bias[a]
         heads.append(matmul(masked_softmax_rows(scores, causal=True), v[:, cols]))
     return concat(heads, axis=1)
+
+
+def qksan_multi_head_reference(block, x: Tensor, eps: float = 1e-6) -> Tensor:
+    """QKSAN's multi-head attention one head at a time, on the tape, with 2-D ops only.
+
+    Each head projects x, lifts its q/k/v rows through its own feature map,
+    adds log(relu(gamma) + eps) of the kernel Gram matrix to its scaled dot
+    scores, and mixes its gated values; the head outputs are concatenated and
+    projected through the block's output weights.
+    """
+    def feature_map(head, z):
+        diff = z - head.mu
+        sq = (diff * diff).sum(axis=1, keepdims=True)
+        envelope = exp(-(sq / (2.0 * exp(2.0 * head.log_sigma))))
+        return envelope * cos(matmul(z, transpose(head.omega)) + head.b_phase)
+
+    def attention(head):
+        q = matmul(x, head.w_q) + head.b_q
+        k = matmul(x, head.w_k) + head.b_k
+        v = matmul(x, head.w_v) + head.b_v
+        s = matmul(q, transpose(k)) * (1.0 / math.sqrt(q.shape[1]))
+        gamma = matmul(feature_map(head, q), transpose(feature_map(head, k)))
+        weights = masked_softmax_rows(s + log(relu(gamma) + eps), causal=True)
+        gate = (sigmoid(matmul(feature_map(head, v), head.u_v) + head.c_v)
+                * cos(matmul(v, transpose(head.w_omega)) + head.b_omega))
+        return matmul(weights, v * gate)
+
+    return matmul(concat([attention(head) for head in block.heads], axis=1), block.w_o) + block.b_o
 
 
 # ---------------------------------------------------------------------------

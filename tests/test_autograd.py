@@ -68,6 +68,12 @@ def _rand(*shape):
     (lambda v, lam: decay_scan(v, lam), [_rand(5, 3), 0.99 + 0.005 * _rand(3)]),    # lambda near 1
     (lambda v, lam: decay_scan(v, lam), [_rand(1, 4), 0.5 + 0.3 * _rand(4)]),       # T = 1
     (lambda q, k, v: causal_attention(q, k, v, 3, 0.7), [_rand(4, 6), _rand(4, 6), _rand(4, 9)]),  # 3 heads
+    (lambda a, b: matmul(a, b), [_rand(2, 3, 4), _rand(2, 4, 2)]),                                 # batched
+    (lambda a: transpose(a, (1, 0, 2)), [_rand(2, 3, 4)]),
+    (lambda a: masked_softmax_rows(a, causal=True), [_rand(2, 4, 4) * 3.0]),
+    (lambda a: masked_softmax_rows(a, causal=False), [_rand(2, 3, 5)]),
+    (lambda q, k, v, b: causal_attention(q, k, v, 2, 0.7, b),
+     [_rand(4, 6), _rand(4, 6), _rand(4, 4), _rand(2, 4, 4)]),                                    # biased
 ])
 def test_primitive_gradients(fn, arrays):
     assert op_grad_check(fn, arrays) < TOL

@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -29,7 +31,7 @@ from qtextgen.harness import (
 )
 from qtextgen.harness.benchmark import BenchmarkResult
 from qtextgen.harness.train import batch_loss, validation_loss
-from qtextgen.metrics import perplexity
+from qtextgen.metrics import aggregate_report, perplexity, score_sample
 from qtextgen.models import ARCHITECTURES, build_model, default_config
 from qtextgen.numerics import ComputationRecord, Rng, cross_entropy
 
@@ -253,6 +255,28 @@ class TestCheckpoint:
         path.write_text(json.dumps({"format_version": 99}))
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
+
+
+class TestAtomicWrites:
+    def test_failed_rename_leaves_checkpoint_and_tables(self, tmp_path, monkeypatch):
+        model = _small_model("mlp")
+        ckpt = save_checkpoint(tmp_path / "m.ckpt.json", model)
+        cfg = _quick_cfg(out_dir=str(tmp_path), datasets=("proverbs",), models=("mlp",))
+        report = aggregate_report("MLP", "proverbs", 12.5, [score_sample(["a"], ["b", "c"], ["b", "d"])])
+        tables = write_tables(BenchmarkResult(reports=[report]), cfg)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        def fail(src, dst):
+            raise OSError("simulated failure")
+
+        monkeypatch.setattr(os, "replace", fail)
+        model.params["w_2"].data[...] += 1.0
+        with pytest.raises(OSError, match="simulated"):
+            save_checkpoint(ckpt, model)
+        with pytest.raises(OSError, match="simulated"):
+            write_tables(BenchmarkResult(reports=[replace(report, perplexity=99.0)]), cfg)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        assert {p.name for p in tables} <= set(before)
 
 
 class TestRunConfig:

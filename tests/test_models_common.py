@@ -59,13 +59,14 @@ class TestCausalAttention:
     def test_matches_per_head_oracle(self, n_heads, width, m, seed):
         rng = np.random.default_rng(seed)
         arrays = [rng.normal(size=(m, n_heads * width)) for _ in range(3)]
+        bias = rng.normal(size=(n_heads, m, m))
         probe = rng.normal(size=(m, n_heads * width))
         scale = 1.0 / math.sqrt(width)
         results = []
         for attend in (causal_attention, per_head_attention_reference):
-            tensors = [Tensor(a) for a in arrays]
+            tensors = [Tensor(a) for a in arrays + [bias]]
             with ComputationRecord() as rec:
-                out = attend(*tensors, n_heads, scale)
+                out = attend(*tensors[:3], n_heads, scale, tensors[3])
                 rec.backward((out * Tensor(probe)).sum())
             results.append((out.data, [t.grad for t in tensors]))
         (out, grads), (expected, expected_grads) = results

@@ -3,11 +3,13 @@
 import math
 
 import numpy as np
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from qtextgen.models import build_model, default_config
-from qtextgen.models.qksan import SCORE_EPS
-from qtextgen.numerics import Tensor, masked_softmax_rows
-from oracles import model_grad_check, qksan_head_reference
+from qtextgen.models.qksan import SCORE_EPS, feature_map
+from qtextgen.numerics import ComputationRecord, Tensor, masked_softmax_rows
+from oracles import model_grad_check, qksan_head_reference, qksan_multi_head_reference
 
 
 def _model(seed=0, **kw):
@@ -20,26 +22,37 @@ def _head(seed=0, **kw):
     return _model(seed=seed, **kw).blocks[0].heads[0]
 
 
+def _block_and_head(seed):
+    block = _model(seed=seed).blocks[0]
+    return block, block.heads[0]
+
+
+def _head_features(block, z):
+    """Head 0's slice of the block's all-heads feature map, with the rows z given to every head."""
+    stack = np.broadcast_to(z, (len(block.heads),) + z.shape)
+    return feature_map(Tensor(stack), block.head_stacks()).data[0]
+
+
 class TestFeatureMap:
     def test_center_with_zero_bank_gives_ones(self):
-        head = _head(seed=1)
+        block, head = _block_and_head(seed=1)
         head.omega.data[...] = 0.0
         head.b_phase.data[...] = 0.0
-        z = Tensor(np.tile(head.mu.data, (3, 1)))
-        np.testing.assert_allclose(head.feature_map(z).data, 1.0, atol=1e-15)
+        z = np.tile(head.mu.data, (3, 1))
+        np.testing.assert_allclose(_head_features(block, z), 1.0, atol=1e-15)
 
     def test_quarter_phase_gives_zeros(self):
-        head = _head(seed=2)
+        block, head = _block_and_head(seed=2)
         head.omega.data[...] = 0.0
         head.b_phase.data[...] = math.pi / 2.0
-        z = Tensor(np.tile(head.mu.data, (2, 1)))
-        np.testing.assert_allclose(head.feature_map(z).data, 0.0, atol=1e-12)
+        z = np.tile(head.mu.data, (2, 1))
+        np.testing.assert_allclose(_head_features(block, z), 0.0, atol=1e-12)
 
     def test_matches_scalar_recomputation(self):
-        head = _head(seed=3)
+        block, head = _block_and_head(seed=3)
         rng = np.random.default_rng(0)
         z = rng.normal(size=(4, head.dh))
-        got = head.feature_map(Tensor(z)).data
+        got = _head_features(block, z)
         sigma = math.exp(float(head.log_sigma.data))
         for i in range(4):
             envelope = math.exp(-float(((z[i] - head.mu.data) ** 2).sum()) / (2 * sigma ** 2))
@@ -52,7 +65,7 @@ class TestAttentionHead:
     def test_constant_kernel_shifts_cancel_in_softmax(self):
         # all-ones features make the kernel entry-constant, so the attention
         # weights reduce to the classical softmax of the dot-product scores
-        head = _head(seed=4)
+        block, head = _block_and_head(seed=4)
         head.omega.data[...] = 0.0
         head.b_phase.data[...] = 0.0
         head.mu.data[...] = 0.0
@@ -67,19 +80,54 @@ class TestAttentionHead:
         shifted = masked_softmax_rows(Tensor(combined), causal=True).data
         np.testing.assert_allclose(shifted, classical, atol=1e-12)
         # and the head output equals the scalar oracle under the same params
-        np.testing.assert_allclose(head.attention(Tensor(x)).data, qksan_head_reference(x, head), atol=1e-10)
+        np.testing.assert_allclose(block.attention(Tensor(x)).data[0], qksan_head_reference(x, head), atol=1e-10)
 
     def test_single_token_returns_gated_value_row(self):
-        head = _head(seed=5)
+        block, head = _block_and_head(seed=5)
         x = Tensor(np.random.default_rng(2).normal(size=(1, 8)))
-        out = head.attention(x).data
+        out = block.attention(x).data[0]
         ref = qksan_head_reference(x.data, head)
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_three_token_instance_matches_scalar_oracle(self):
-        head = _head(seed=6)
+        block, head = _block_and_head(seed=6)
         x = np.random.default_rng(3).normal(size=(3, 8))
-        np.testing.assert_allclose(head.attention(Tensor(x)).data, qksan_head_reference(x, head), atol=1e-10)
+        np.testing.assert_allclose(block.attention(Tensor(x)).data[0], qksan_head_reference(x, head), atol=1e-10)
+
+
+class TestMultiHead:
+    @given(n_heads=st.integers(1, 4), width=st.integers(2, 5), features=st.integers(1, 6), m=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_head_oracle(self, n_heads, width, features, m, seed):
+        assume(n_heads * width % 2 == 0)  # the model needs an even width
+        model = _model(seed=seed % 1000, max_seq_len=12, d_model=n_heads * width, n_heads=n_heads,
+                       quantum_features=features)
+        block, params = model.blocks[0], list(model.params.values())
+        rng = np.random.default_rng(seed)
+        x, probe = rng.normal(size=(m, n_heads * width)), rng.normal(size=(m, n_heads * width))
+        results = []
+        for attend in (block.multi_head, lambda t: qksan_multi_head_reference(block, t)):
+            inputs = Tensor(x)
+            with ComputationRecord() as rec:
+                out = attend(inputs)
+                rec.backward((out * Tensor(probe)).sum())
+            grads = [inputs.grad] + [t.grad if t.grad is not None else np.zeros(t.shape) for t in params]
+            for t in params:
+                t.grad = None
+            results.append((out.data, grads))
+        (out, grads), (expected, expected_grads) = results
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13)
+        largest = max(np.abs(g).max() for g in expected_grads)
+        for g, e in zip(grads, expected_grads):
+            np.testing.assert_allclose(g, e, rtol=0, atol=1e-12 * largest)
+
+    def test_matmul_count_does_not_grow_with_heads(self):
+        counts = []
+        for n_heads in (1, 2, 4):
+            with ComputationRecord() as rec:
+                _model(seed=11, n_heads=n_heads).logits([1, 4, 2, 5])
+            counts.append(sum(node.backward_fn.__qualname__.startswith("matmul.") for node in rec.nodes))
+        assert counts[0] == counts[1] == counts[2]
 
 
 class TestScoreAlgebra:

@@ -20,6 +20,7 @@ from qtextgen.numerics import (
     matmul,
     relu,
     sigmoid,
+    transpose,
 )
 
 
@@ -66,6 +67,24 @@ class TestMaskedSoftmax:
     def test_fully_masked_row_rejected(self):
         with pytest.raises(ValueError):
             masked_softmax_rows(Tensor([[-np.inf, -np.inf]]), causal=False)
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_nan_row_is_named(self, causal):
+        scores = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]
+        with pytest.raises(FloatingPointError, match="row 2"):
+            masked_softmax_rows(Tensor(scores), causal=causal)
+
+    def test_positive_infinity_in_stack_is_named(self):
+        scores = np.zeros((2, 3, 3))
+        scores[1, 1, 0] = np.inf
+        with pytest.raises(FloatingPointError, match="row 1 of matrix 1"):
+            masked_softmax_rows(Tensor(scores), causal=True)
+
+    def test_stack_matches_each_matrix(self):
+        s = np.random.default_rng(5).normal(size=(3, 4, 4))
+        out = masked_softmax_rows(Tensor(s), causal=True).data
+        for a in range(3):
+            np.testing.assert_array_equal(out[a], masked_softmax_rows(Tensor(s[a]), causal=True).data)
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=6))
     def test_single_row_property(self, values):
@@ -188,6 +207,31 @@ class TestAdam:
         opt2.load_state_dict(state)
         assert opt2.t == 1
         np.testing.assert_array_equal(opt2._m["p"], opt._m["p"])
+
+
+class TestViews:
+    def test_reshape_and_transpose_share_memory(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3))
+        assert np.shares_memory(x.reshape(3, 2).data, x.data)
+        assert np.shares_memory(transpose(x.reshape(1, 2, 3), (1, 0, 2)).data, x.data)
+
+    def test_parameter_view_gradient_matches_copy_and_survives_adam_step(self):
+        rng = np.random.default_rng(3)
+        w, y = rng.normal(size=(2, 3)), rng.normal(size=(2, 4))
+        grads = []
+        for source in (lambda p: p, lambda p: p[:, :]):  # the parameter itself, or a copying gather of it
+            p = Tensor(w)
+            with ComputationRecord() as rec:
+                view = source(p).reshape(3, 2)
+                h = matmul(view, Tensor(y))
+                rec.backward((h * h).sum())
+            grad = p.grad.copy()
+            Adam([("p", p)], lr=0.1).step()
+            assert not np.array_equal(p.data, w)
+            np.testing.assert_array_equal(p.grad, grad)
+            grads.append(grad)
+        np.testing.assert_array_equal(grads[0], grads[1])
+        np.testing.assert_allclose(grads[0], (2.0 * (w.reshape(3, 2) @ y) @ y.T).reshape(2, 3), rtol=1e-14)
 
 
 class TestBackwardBasics:
