@@ -520,13 +520,14 @@ def train_val_split(dataset: Dataset | Subset, fraction: float = 0.8, seed: int 
 
 
 def save_dataset(dataset: Dataset, out_dir) -> tuple[Path, Path]:
-    """Write <name>.txt (one sample per line) and <name>.manifest.json."""
+    """Write <name>.txt (one sample per line) and <name>.manifest.json, each atomically."""
+    from ..harness.files import write_text_atomic  # imported here: the harness imports this package
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    text_path = out / f"{dataset.name}.txt"
-    manifest_path = out / f"{dataset.name}.manifest.json"
-    text_path.write_text("\n".join(dataset.texts) + "\n", encoding="utf-8")
-    manifest_path.write_text(json.dumps(dataset.manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text_path = write_text_atomic(out / f"{dataset.name}.txt", "\n".join(dataset.texts) + "\n")
+    manifest_path = write_text_atomic(out / f"{dataset.name}.manifest.json",
+                                      json.dumps(dataset.manifest, indent=2, sort_keys=True) + "\n")
     return text_path, manifest_path
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from ..corpus import DATASET_NAMES
 from ..models import ARCHITECTURES, ModelConfig
+from .files import write_text_atomic
 
 # model_config_for sets these ModelConfig fields itself
 _OVERRIDABLE = {f.name for f in fields(ModelConfig)} - {"arch", "vocab_size", "seed"}
@@ -91,7 +92,7 @@ class RunConfig:
         return asdict(self)
 
     def to_json(self, path):
-        Path(path).write_text(json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_text_atomic(path, json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def load_config(path) -> RunConfig:

@@ -1,10 +1,15 @@
 """Mini-batch training with validation-based early stopping.
 
 Training and validation losses are the token-pooled mean NLL of
-:func:`qtextgen.metrics.mean_nll`: every sequence runs unpadded and every
-target counts once, so batch composition does not reweight sequences.  The
-best-validation parameter snapshot is restored when training ends, whether
-it completed or stopped early.
+:func:`qtextgen.metrics.mean_nll`: every target counts once, so batch
+composition does not reweight sequences.  ``mean_nll`` runs a minibatch (or
+the validation set) as packs: each pack is one ``logits`` call on the flat
+concatenation of up to ``PACK_POSITIONS`` positions, whose sequences stay
+unpadded and never see one another, so each minibatch records a few forward
+graphs rather than one per sequence.  The budget bounds the dense attention
+scores of a pack, which grow with the square of its positions.  A single
+sequence is a one-segment pack.  The best-validation parameter snapshot is
+restored when training ends, whether it completed or stopped early.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The five benchmarked architectures as token-ids -> next-token-logits models."""
 
-from .common import EOS_ID, BaseModel, causal_attention, generate, quantum_positional_encoding, sinusoidal_table
+from .common import EOS_ID, BaseModel, Pack, causal_attention, generate, quantum_positional_encoding, sinusoidal_table
 from .config import ARCHITECTURES, DISPLAY_NAMES, ModelConfig, default_config
 from .mlp import MlpModel
 from .qasa import QasaModel
@@ -34,6 +34,7 @@ __all__ = [
     "BaseModel",
     "MlpModel",
     "ModelConfig",
+    "Pack",
     "QasaModel",
     "QksanModel",
     "QrwkvLayer",

@@ -1,9 +1,19 @@
 """Components shared by every architecture: embeddings, positional tables,
-multi-head causal attention, the output head, and autoregressive decoding."""
+multi-head causal attention, the output head, and autoregressive decoding.
+
+Every ``logits(token_ids, lengths)`` call runs one *pack*: the flat
+concatenation of one or more sequences, ``lengths`` giving each segment's
+size.  A :class:`Pack` holds what the models need to keep the segments apart
+(packing without cross-contamination, Krell et al., arXiv:2107.02027):
+positions that restart in each segment, the segments' first rows, and one
+block-diagonal causal keep-mask shared by every attention layer.  A plain
+``logits(token_ids)`` call is the one-segment case.
+"""
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +37,7 @@ EOS_ID = 2  # corpus convention: PAD=0, BOS=1, EOS=2, UNK=3
 __all__ = [
     "EOS_ID",
     "BaseModel",
+    "Pack",
     "causal_attention",
     "quantum_positional_encoding",
     "sinusoidal_table",
@@ -45,15 +56,16 @@ def sinusoidal_table(n_positions: int, d: int) -> np.ndarray:
     return table
 
 
-def quantum_positional_encoding(n_positions: int, d: int, omega: Tensor, phases: Tensor) -> Tensor:
-    """Sinusoidal table modulated by a trainable frequency and per-column phases.
+def quantum_positional_encoding(positions, d: int, omega: Tensor, phases: Tensor) -> Tensor:
+    """Sinusoidal rows at ``positions`` modulated by a trainable frequency and per-column phases.
 
-    Even columns: sin(p / 10000^(2i/d)) * cos(omega*p + phase_even);
+    Row t, at position p = positions[t]:
+    even columns: sin(p / 10000^(2i/d)) * cos(omega*p + phase_even);
     odd columns:  cos(p / 10000^(2i/d)) * sin(omega*p + phase_odd).
     """
     if d % 2 != 0:
         raise ValueError("positional encoding needs an even feature dimension")
-    pos = np.arange(n_positions)[:, None].astype(np.float64)
+    pos = np.asarray(positions, dtype=np.float64)[:, None]
     i = np.arange(d // 2)[None, :]
     angles = pos / (10000.0 ** (2.0 * i / d))
     sin_base = Tensor(np.sin(angles))
@@ -66,24 +78,59 @@ def quantum_positional_encoding(n_positions: int, d: int, omega: Tensor, phases:
     return interleave_columns(even, odd)
 
 
+class Pack:
+    """Row layout of one ``logits`` call: one segment of consecutive rows per sequence.
+
+    Built from the segment ``lengths``; each field is computed on first use,
+    since a model reads only the fields it needs.
+    """
+
+    def __init__(self, lengths):
+        self.lengths = np.asarray(lengths, dtype=np.intp)
+
+    @cached_property
+    def first_rows(self) -> np.ndarray:
+        """Per row, the index of its segment's first row."""
+        return np.repeat(np.cumsum(self.lengths) - self.lengths, self.lengths)
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Per row, its position within its segment: 0 at each segment's first row."""
+        return np.arange(self.first_rows.size) - self.first_rows
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """True at each segment's first row."""
+        return self.positions == 0
+
+    @cached_property
+    def keep(self) -> np.ndarray:
+        """Block-diagonal causal keep-mask: row i attends to row j when both lie in one segment and j <= i."""
+        first = self.first_rows
+        return np.tri(first.size, dtype=bool) & (first[:, None] == first[None, :])
+
+
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
     """(m, h*w) rows whose column block a belongs to head a -> the (h, m, w) stack of head rows."""
     return transpose(x.reshape(x.shape[0], n_heads, -1), (1, 0, 2))
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float, bias: Tensor | None = None) -> Tensor:
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float, bias: Tensor | None = None,
+                     causal=True) -> Tensor:
     """Causally masked softmax(q k^T * scale + bias) v for every head at once.
 
     q, k and v are each (m, h*w) rows, column block a for head a, or an
     (h, m, w) stack of head rows.  The heads are the batch axis of one
     (h, m, m) score stack; ``bias`` is an optional additive term of that
-    shape.  The result has the layout of v.
+    shape.  ``causal`` is True for one sequence or a pack's keep-mask
+    (:class:`Pack`); it masks the scores with the bias added.  The result has
+    the layout of v.
     """
     qh, kh, vh = (t if t.ndim == 3 else split_heads(t, n_heads) for t in (q, k, v))
     scores = matmul(qh, transpose(kh, (0, 2, 1))) * scale
     if bias is not None:
         scores = scores + bias
-    out = matmul(masked_softmax_rows(scores, causal=True), vh)
+    out = matmul(masked_softmax_rows(scores, causal), vh)
     return out if v.ndim == 3 else transpose(out, (1, 0, 2)).reshape(v.shape)
 
 
@@ -124,8 +171,8 @@ class BaseModel:
         phases[1::2] = math.pi / 2.0
         self.pos_phases = self._param("pos.phases", phases)
 
-    def positional(self, length: int) -> Tensor:
-        return quantum_positional_encoding(length, self.config.d_model, self.pos_omega, self.pos_phases)
+    def positional(self, positions) -> Tensor:
+        return quantum_positional_encoding(positions, self.config.d_model, self.pos_omega, self.pos_phases)
 
     def _build_head(self, in_dim: int | None = None):
         cfg = self.config
@@ -140,12 +187,26 @@ class BaseModel:
         return embedding_lookup(self.embedding, token_ids)
 
     # -- interface -----------------------------------------------------------
-    def logits(self, token_ids) -> Tensor:
+    def logits(self, token_ids, lengths=None) -> Tensor:
+        """Next-token logits for every row of a pack; ``lengths`` as for :meth:`pack`."""
         raise NotImplementedError
 
-    def check_length(self, n: int):
-        if n > self.config.max_seq_len:
-            raise ValueError(f"sequence of length {n} exceeds max_seq_len={self.config.max_seq_len}")
+    def pack(self, token_ids, lengths=None) -> Pack:
+        """The layout of a ``logits`` call on ``token_ids`` split into segments of ``lengths``.
+
+        ``lengths`` of None is one segment holding every id.  Raises
+        ValueError unless the lengths sum to ``len(token_ids)``, each is at
+        least 1, and none exceeds ``max_seq_len``.
+        """
+        n = len(token_ids)
+        lengths = [n] if lengths is None else [int(size) for size in lengths]
+        if sum(lengths) != n:
+            raise ValueError(f"segment lengths sum to {sum(lengths)}, but {n} token ids were given")
+        if min(lengths, default=0) < 1:
+            raise ValueError("every segment needs at least one token id")
+        if max(lengths) > self.config.max_seq_len:
+            raise ValueError(f"sequence of length {max(lengths)} exceeds max_seq_len={self.config.max_seq_len}")
+        return Pack(lengths)
 
     # -- checkpoint support ---------------------------------------------------
     def state_arrays(self) -> dict[str, np.ndarray]:

@@ -1,5 +1,10 @@
 """Fixed-window MLP baseline: concatenate the last few token embeddings,
-one GELU hidden layer, direct projection to logits.  Causal by construction."""
+one GELU hidden layer, direct projection to logits.  Causal by construction.
+
+In a pack of sequences each window stops at the start of its own sequence:
+slots before it read zeros, exactly as for that sequence alone (the
+one-segment pack).
+"""
 
 from __future__ import annotations
 
@@ -21,14 +26,15 @@ class MlpModel(BaseModel):
         self.w_2 = self._param("w_2", init_weight(self.rng, ff, (ff, config.vocab_size)))
         self.b_2 = self._param("b_2", init_bias(config.vocab_size))
 
-    def logits(self, token_ids) -> Tensor:
+    def logits(self, token_ids, lengths=None) -> Tensor:
+        pack = self.pack(token_ids, lengths)
         m = len(token_ids)
-        self.check_length(m)
         w, d = self.config.mlp_window, self.config.d_model
-        # slot j of row t reads position t - (w - 1) + j; slots before position 0 read id 0, then are zeroed
-        pos = np.arange(m)[:, None] + np.arange(1 - w, 1)[None, :]
-        ids = np.asarray(token_ids, dtype=np.intp)[np.maximum(pos, 0)].reshape(-1)
-        keep = Tensor((pos >= 0).reshape(-1, 1))
+        # slot j of row t reads row t - (w - 1) + j; slots before the first
+        # row of t's segment read that first row's id, then are zeroed
+        window, first = np.arange(m)[:, None] + np.arange(1 - w, 1)[None, :], pack.first_rows[:, None]
+        ids = np.asarray(token_ids, dtype=np.intp)[np.maximum(window, first)].reshape(-1)
+        keep = Tensor((window >= first).reshape(-1, 1))
         stacked = (self.embed(ids) * keep).reshape(m, w * d)
         hidden = gelu(matmul(stacked, self.w_1) + self.b_1)
         return matmul(hidden, self.w_2) + self.b_2

@@ -8,6 +8,10 @@ all heads and positions form one block of rows, each row with its own head's
 angles, so one simulator call per role runs every circuit of the sequence.
 The shared causal scaled dot-product attention over those measurement vectors
 feeds a two-layer feed-forward decoder, then the shared output head.
+
+A pack of sequences is one block of rows: positions restart in each
+sequence, and the pack's block-diagonal keep-mask confines attention to each
+sequence's own prefix.  One sequence is the one-segment pack.
 """
 
 from __future__ import annotations
@@ -41,15 +45,15 @@ class QasaModel(BaseModel):
         self.dec_b2 = self._param("decoder.b_2", init_bias(d))
         self._build_head()
 
-    def logits(self, token_ids):
+    def logits(self, token_ids, lengths=None):
+        pack = self.pack(token_ids, lengths)
         m = len(token_ids)
-        self.check_length(m)
         h, nq = self.config.n_heads, self.config.qasa_qubits
         # row t*h + a is head a's chunk of position t, run with head a's angles
-        chunks = (self.embed(token_ids) + self.positional(m)).reshape(m * h, self.config.head_dim)
+        chunks = (self.embed(token_ids) + self.positional(pack.positions)).reshape(m * h, self.config.head_dim)
         angles = {role: broadcast_rows(concat([head[role] for head in self.circuit_params]), m)
                   .reshape(m * h, self.spec.n_params) for role in ("q", "k", "v")}
         q, k, v = (vqc_forward(self.spec, angles[role], chunks).reshape(m, h * nq) for role in ("q", "k", "v"))
-        mixed = causal_attention(q, k, v, h, 1.0 / math.sqrt(nq))
+        mixed = causal_attention(q, k, v, h, 1.0 / math.sqrt(nq), causal=pack.keep)
         decoded = matmul(gelu(matmul(mixed, self.dec_w1) + self.dec_b1), self.dec_w2) + self.dec_b2
         return self.lm_head(decoded)

@@ -8,6 +8,11 @@ exp(dot-score) * kernel-similarity.  Values are modulated by a sigmoid/cosine
 gate before mixing; all heads run at once as the leading axis of (h, m, .)
 stacks.  The block adds a gated residual enhancement and a ReLU*cosine
 feed-forward, each followed by LayerNorm.
+
+A pack of sequences is one block of rows: positions restart in each
+sequence, and the pack's block-diagonal keep-mask masks the scores with the
+kernel bias added, so no row weighs another sequence's kernel entries.  One
+sequence is the one-segment pack.
 """
 
 from __future__ import annotations
@@ -100,11 +105,18 @@ class QksanBlock:
     def head_stacks(self) -> dict[str, Tensor]:
         """Head a's feature-map and gate parameters as entry a of (h, ., .) stacks; vectors become rows."""
         names = ("mu", "log_sigma", "omega", "b_phase", "u_v", "c_v", "w_omega", "b_omega")
-        per_head = {name: [getattr(head, name) for head in self.heads] for name in names}
-        return {name: concat([t.reshape((1,) * (3 - t.ndim) + t.shape) for t in ts]) for name, ts in per_head.items()}
+        stacks = {}
+        for name in names:
+            shape = getattr(self.heads[0], name).shape
+            joined = concat([getattr(head, name) for head in self.heads])
+            stacks[name] = joined.reshape((len(self.heads),) + (1,) * (2 - len(shape)) + shape)
+        return stacks
 
-    def attention(self, x: Tensor) -> Tensor:
-        """Every head's kernel attention over the rows of x, as an (h, m, head_dim) stack."""
+    def attention(self, x: Tensor, causal=True) -> Tensor:
+        """Every head's kernel attention over the rows of x, as an (h, m, head_dim) stack.
+
+        ``causal`` is True for one sequence or the keep-mask of a pack.
+        """
         h, p = len(self.heads), self.head_stacks()
         q, k, v = (split_heads(matmul(x, concat([getattr(head, "w_" + r) for head in self.heads], axis=1))
                                + concat([getattr(head, "b_" + r) for head in self.heads]), h) for r in "qkv")
@@ -114,14 +126,14 @@ class QksanBlock:
         bias = log(relu(gamma) + SCORE_EPS)
         gate = (sigmoid(matmul(feature_map(v, p), p["u_v"]) + p["c_v"])
                 * cos(matmul(v, transpose(p["w_omega"], (0, 2, 1))) + p["b_omega"]))
-        return causal_attention(q, k, v * gate, h, 1.0 / math.sqrt(q.shape[2]), bias)
+        return causal_attention(q, k, v * gate, h, 1.0 / math.sqrt(q.shape[2]), bias, causal)
 
-    def multi_head(self, x: Tensor) -> Tensor:
-        mixed = transpose(self.attention(x), (1, 0, 2)).reshape(x.shape[0], -1)
+    def multi_head(self, x: Tensor, causal=True) -> Tensor:
+        mixed = transpose(self.attention(x, causal), (1, 0, 2)).reshape(x.shape[0], -1)
         return matmul(mixed, self.w_o) + self.b_o
 
-    def forward(self, x: Tensor) -> Tensor:
-        y = self.multi_head(x)
+    def forward(self, x: Tensor, causal=True) -> Tensor:
+        y = self.multi_head(x, causal)
         gate = sigmoid(matmul(x, self.w_gate_s) + self.b_gate_s) * cos(matmul(x, self.w_gate_c) + self.b_gate_c)
         enhanced = relu(matmul(y, self.w_gate_y) + self.b_gate_y) * gate
         z1 = layer_norm(x + enhanced, self.ln1_g, self.ln1_b)
@@ -140,10 +152,9 @@ class QksanModel(BaseModel):
         self.blocks = [QksanBlock(self, i) for i in range(config.n_blocks)]
         self._build_head()
 
-    def logits(self, token_ids):
-        m = len(token_ids)
-        self.check_length(m)
-        x = self.embed(token_ids) + self.positional(m)
+    def logits(self, token_ids, lengths=None):
+        pack = self.pack(token_ids, lengths)
+        x = self.embed(token_ids) + self.positional(pack.positions)
         for block in self.blocks:
-            x = block.forward(x)
+            x = block.forward(x, pack.keep)
         return self.lm_head(x)

@@ -20,6 +20,12 @@ h_t = LN(x_t + y_time), y_t = LN(h_t + c_t + y_attn).
 This is RWKV's parallel mode: the circuit runs for every position in one
 simulator call, the memory (the only recurrence) is one ``decay_scan``, and
 rows t-1 come from a row shift with a zero first row.
+
+A pack of sequences is one block of rows.  Positions restart in each
+sequence; the memory scan and the row shift restart at each sequence's first
+row, and the pack's block-diagonal keep-mask confines the measurement
+attention to each sequence's own prefix.  One sequence is the one-segment
+pack.
 """
 
 from __future__ import annotations
@@ -44,12 +50,17 @@ from ..numerics import (
 from ..numerics.tensor import exp as t_exp
 from ..numerics.tensor import neg as t_neg
 from ..qsim import build_qrwkv_circuit, vqc_forward
-from .common import BaseModel, causal_attention
+from .common import BaseModel, Pack, causal_attention
 
 
-def previous_rows(x: Tensor) -> Tensor:
-    """Row t of the result is row t-1 of x; row 0 is zero (the state before the sequence)."""
-    return matmul(Tensor(np.eye(x.shape[0], k=-1)), x)
+def previous_rows(x: Tensor, starts=None) -> Tensor:
+    """Row t of the result is row t-1 of x; row 0 and the rows flagged in ``starts`` are zero.
+
+    A zero row is the state before a sequence; ``starts`` flags the first row
+    of every segment of a pack (None: row 0 alone).
+    """
+    first = np.arange(x.shape[0]) == 0 if starts is None else starts
+    return x[np.maximum(np.arange(x.shape[0]) - 1, 0)] * Tensor(~first[:, None])
 
 
 class QrwkvLayer:
@@ -99,11 +110,14 @@ class QrwkvLayer:
         # lambda = exp(-dt/tau) with dt = 1 and tau = exp(log_tau)
         return t_exp(t_neg(t_exp(t_neg(self.log_tau))))
 
-    def time_mix(self, x: Tensor):
-        """Receptance-gated decayed memory for every row of x; returns (y_time, memory m)."""
+    def time_mix(self, x: Tensor, starts=None):
+        """Receptance-gated decayed memory for every row of x; returns (y_time, memory m).
+
+        The memory restarts at row 0 and at the rows flagged in ``starts``.
+        """
         u = matmul(x, self.w_key)
-        mem = decay_scan(matmul(x, self.w_value), self.decay())
-        r = sigmoid(matmul(concat([x, previous_rows(mem)], axis=1), self.w_recept) + self.b_recept)
+        mem = decay_scan(matmul(x, self.w_value), self.decay(), starts)
+        r = sigmoid(matmul(concat([x, previous_rows(mem, starts)], axis=1), self.w_recept) + self.b_recept)
         return r * (u * mem), mem
 
     def circuit_readout(self, x: Tensor) -> Tensor:
@@ -117,20 +131,25 @@ class QrwkvLayer:
         full_params = concat([angles, broadcast_rows(self.theta, x.shape[0])], axis=1)
         return vqc_forward(self.spec, full_params, amp_in)
 
-    def channel_mix(self, x: Tensor, qemb: Tensor):
-        """Channel mixing of every row of x with its projected circuit readout ``qemb``; returns (c, h)."""
+    def channel_mix(self, x: Tensor, qemb: Tensor, starts=None):
+        """Channel mixing of every row of x with its projected circuit readout ``qemb``; returns (c, h).
+
+        Row t mixes with row t-1, and with zeros at row 0 and at the rows flagged in ``starts``.
+        """
         mlp = matmul(gelu(matmul(x, self.w_ffa) + self.b_ffa), self.w_ffb) + self.b_ffb
         z = matmul(qemb, self.w_mix1) + matmul(mlp, self.w_mix2) + self.b_mix1
         h = gelu(z)
-        c = matmul(h * previous_rows(h), self.w_mix3) + self.b_mix2
+        c = matmul(h * previous_rows(h, starts), self.w_mix3) + self.b_mix2
         return c, h
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, pack: Pack | None = None) -> Tensor:
+        """The layer over the rows of x: one sequence, or the rows of ``pack``."""
+        pack = Pack([x.shape[0]]) if pack is None else pack
         readout = self.circuit_readout(x)
-        y_time, _ = self.time_mix(x)
-        c, _ = self.channel_mix(x, matmul(readout, self.w_emb))
+        y_time, _ = self.time_mix(x, pack.starts)
+        c, _ = self.channel_mix(x, matmul(readout, self.w_emb), pack.starts)
         y_attn = causal_attention(matmul(readout, self.w_q), matmul(readout, self.w_k),
-                                  matmul(readout, self.w_v), 1, 1.0)
+                                  matmul(readout, self.w_v), 1, 1.0, causal=pack.keep)
         h = layer_norm(x + y_time, self.ln1_g, self.ln1_b)
         return layer_norm(h + c + y_attn, self.ln2_g, self.ln2_b)
 
@@ -145,10 +164,9 @@ class QrwkvModel(BaseModel):
         self.layers = [QrwkvLayer(self, i) for i in range(config.n_blocks)]
         self._build_head()
 
-    def logits(self, token_ids):
-        m = len(token_ids)
-        self.check_length(m)
-        x = self.embed(token_ids) + self.positional(m)
+    def logits(self, token_ids, lengths=None):
+        pack = self.pack(token_ids, lengths)
+        x = self.embed(token_ids) + self.positional(pack.positions)
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x, pack)
         return self.lm_head(x)

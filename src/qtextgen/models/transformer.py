@@ -1,5 +1,11 @@
 """Decoder-only transformer baseline: pre-LN blocks, ReLU feed-forward,
-fixed sinusoidal positions, causal scaled dot-product attention."""
+fixed sinusoidal positions, causal scaled dot-product attention.
+
+A pack of sequences runs as one block of rows: each row reads the table row
+of its position within its own sequence, and the pack's block-diagonal
+keep-mask confines every attention row to its own sequence's prefix.  One
+sequence is the one-segment pack.
+"""
 
 from __future__ import annotations
 
@@ -42,17 +48,16 @@ class TransformerModel(BaseModel):
         self.final_b = self._param("final_ln.shift", init_bias(d))
         self._build_head()
 
-    def logits(self, token_ids) -> Tensor:
-        m = len(token_ids)
-        self.check_length(m)
+    def logits(self, token_ids, lengths=None) -> Tensor:
+        pack = self.pack(token_ids, lengths)
         h, scale = self.config.n_heads, 1.0 / math.sqrt(self.config.head_dim)
-        x = self.embed(token_ids) + Tensor(self._pos_table[:m])
+        x = self.embed(token_ids) + Tensor(self._pos_table[pack.positions])
         for blk in self.blocks:
             a = layer_norm(x, blk["ln1_g"], blk["ln1_b"])
             q = matmul(a, blk["w_q"]) + blk["b_q"]
             k = matmul(a, blk["w_k"]) + blk["b_k"]
             v = matmul(a, blk["w_v"]) + blk["b_v"]
-            x = x + (matmul(causal_attention(q, k, v, h, scale), blk["w_o"]) + blk["b_o"])
+            x = x + (matmul(causal_attention(q, k, v, h, scale, causal=pack.keep), blk["w_o"]) + blk["b_o"])
             b = layer_norm(x, blk["ln2_g"], blk["ln2_b"])
             x = x + (matmul(relu(matmul(b, blk["w_1"]) + blk["b_1"]), blk["w_2"]) + blk["b_2"])
         return self.lm_head(layer_norm(x, self.final_g, self.final_b))

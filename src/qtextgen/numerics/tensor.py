@@ -399,13 +399,14 @@ def take(a, idx):
 
 
 def concat(tensors, axis=0):
+    """Join tensors along ``axis``; a 0-d tensor joins as a length-1 vector."""
     tensors = [_lift(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), copy=False)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    parts = [np.atleast_1d(t.data) for t in tensors]
+    out = Tensor(np.concatenate(parts, axis=axis), copy=False)
+    splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
 
     def bw(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
+        return tuple(np.ascontiguousarray(p).reshape(t.shape) for p, t in zip(np.split(g, splits, axis=axis), tensors))
 
     return record_op(out, tuple(tensors), bw)
 
@@ -419,23 +420,34 @@ def broadcast_rows(a, n: int):
     return record_op(out, (a,), lambda g: (g.sum(axis=0),))
 
 
-def decay_scan(v, lam):
-    """Decayed running sum down the (T, d) rows of v: out[t] = lam * out[t-1] + v[t], out[-1] = 0.
+def decay_scan(v, lam, starts=None):
+    """Decayed running sum down the (T, d) rows of v: out[t] = lam * out[t-1] + v[t].
 
-    Backward is the reverse sweep a[t] = g[t] + lam * a[t+1]: dv = a, dlam = sum_t a[t] * out[t-1].
+    The sum restarts (out[t-1] taken as 0) at row 0 and at every row flagged
+    in the optional (T,) boolean ``starts``: the first rows of a pack's
+    segments.  Backward is the reverse sweep a[t] = g[t] + lam * a[t+1], with
+    a[t+1] taken as 0 where row t+1 restarts: dv = a, dlam = sum over the
+    rows t that carry of a[t] * out[t-1].
     """
     v, lam = _lift(v), _lift(lam)
     if v.ndim != 2 or lam.shape != (v.shape[1],):
         raise ValueError(f"decay_scan expects (T, d) values and (d,) decays, got {v.shape} and {lam.shape}")
+    restart = np.arange(v.shape[0]) == 0 if starts is None else np.asarray(starts, dtype=bool)
+    if restart.shape != (v.shape[0],):
+        raise ValueError(f"decay_scan starts must have shape ({v.shape[0]},), got {restart.shape}")
     data, acc = np.empty_like(v.data), 0.0
     for t in range(v.shape[0]):
+        if restart[t]:
+            acc = 0.0
         data[t] = acc = lam.data * acc + v.data[t]
 
     def bw(g):
         a, acc = np.empty_like(g), 0.0
         for t in reversed(range(g.shape[0])):
             a[t] = acc = g[t] + lam.data * acc
-        return a, (a[1:] * data[:-1]).sum(axis=0)
+            if restart[t]:
+                acc = 0.0
+        return a, np.where(restart[1:, None], 0.0, a[1:] * data[:-1]).sum(axis=0)
 
     return record_op(Tensor(data, copy=False), (v, lam), bw)
 
@@ -504,22 +516,30 @@ def reduce_mean(a, axis=None, keepdims=False):
 # fused neural-net ops
 # ---------------------------------------------------------------------------
 
-def masked_softmax_rows(s, causal: bool):
+def masked_softmax_rows(s, causal):
     """Softmax along the last axis of 2-D scores or of an (n, ., .) stack of them.
 
-    Masked entries (those that are -inf, and under ``causal`` those above the
-    diagonal of each square score matrix) are exactly zero in the output; rows
-    are stabilized by subtracting the row max over unmasked entries.  A row
+    ``causal`` is the keep-mask: True keeps the lower triangle of each square
+    score matrix, False keeps every entry, and a boolean array of the scores'
+    last two dimensions keeps its True entries (a pack's block-diagonal
+    causal mask, shared by every matrix of a stack).  Masked entries, and
+    entries that are -inf, are exactly zero in the output; rows are
+    stabilized by subtracting the row max over unmasked entries.  A row
     holding NaN or +inf raises FloatingPointError naming that row.
     """
     s = _lift(s)
     if s.ndim not in (2, 3):
         raise ValueError(f"masked_softmax_rows expects 2-D or 3-D scores, got shape {s.shape}")
     scores = s.data
-    if causal:
+    if causal is True:
         if scores.shape[-2] != scores.shape[-1]:
             raise ValueError(f"causal mask requires square scores, got {s.shape}")
-        scores = np.where(np.tri(scores.shape[-1], dtype=bool), scores, -np.inf)
+        causal = np.tri(scores.shape[-1], dtype=bool)
+    if causal is not False:
+        keep = np.asarray(causal, dtype=bool)
+        if keep.shape != scores.shape[-2:]:
+            raise ValueError(f"keep-mask of shape {keep.shape} does not fit scores of shape {s.shape}")
+        scores = np.where(keep, scores, -np.inf)
     m = np.max(scores, axis=-1, keepdims=True)
     bad = np.argwhere(np.isnan(m) | (m == np.inf))
     if bad.size:

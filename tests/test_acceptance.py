@@ -130,7 +130,7 @@ def test_criterion_4_metric_fixtures(acceptance):
     vocab_size = len(synthesize_datasets(42)["simple_sentences"].vocab)
 
     class Uniform:
-        def logits(self, ids):
+        def logits(self, ids, lengths=None):
             return Tensor(np.zeros((len(ids), vocab_size)))
 
     ppl = perplexity(Uniform(), [(1, 5, 9, 2, 7)])

@@ -74,6 +74,11 @@ def _rand(*shape):
     (lambda a: masked_softmax_rows(a, causal=False), [_rand(2, 3, 5)]),
     (lambda q, k, v, b: causal_attention(q, k, v, 2, 0.7, b),
      [_rand(4, 6), _rand(4, 6), _rand(4, 4), _rand(2, 4, 4)]),                                    # biased
+    (lambda v, lam: decay_scan(v, lam, np.array([True, False, True, False, False])),
+     [_rand(5, 3), 0.5 + 0.3 * _rand(3)]),                                                         # two segments
+    (lambda v, lam: decay_scan(v, lam, np.array([True, False, False, True])),
+     [_rand(4, 2), 0.99 + 0.005 * _rand(2)]),                                                      # last row restarts
+    (lambda v, lam: decay_scan(v, lam, np.ones(4, dtype=bool)), [_rand(4, 3), 0.5 + 0.3 * _rand(3)]),  # every row
 ])
 def test_primitive_gradients(fn, arrays):
     assert op_grad_check(fn, arrays) < TOL
@@ -114,6 +119,15 @@ def test_decay_scan_matches_step_recurrence():
         acc = lam * acc + v_t
         rows.append(acc)
     np.testing.assert_array_equal(decay_scan(Tensor(v), Tensor(lam)).data, np.array(rows))
+
+
+def test_decay_scan_restarts_match_separate_scans():
+    rng = np.random.default_rng(8)
+    v, lam = rng.normal(size=(7, 3)), rng.uniform(0.1, 0.9, 3)
+    starts = np.array([True, False, False, True, True, False, False])
+    joined = decay_scan(Tensor(v), Tensor(lam), starts).data
+    for rows in (slice(0, 3), slice(3, 4), slice(4, 7)):
+        np.testing.assert_array_equal(joined[rows], decay_scan(Tensor(v[rows]), Tensor(lam)).data)
 
 
 def test_cross_entropy_gradient():

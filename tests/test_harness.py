@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qtextgen.corpus import Subset, synthesize_datasets, train_val_split
+from qtextgen.corpus import Subset, save_dataset, synthesize_datasets, train_val_split
 from qtextgen.harness import (
     RunConfig,
     benchmark_matrix,
@@ -32,6 +32,7 @@ from qtextgen.harness import (
 from qtextgen.harness.benchmark import BenchmarkResult
 from qtextgen.harness.train import batch_loss, validation_loss
 from qtextgen.metrics import aggregate_report, perplexity, score_sample
+from qtextgen.metrics.report import PACK_POSITIONS
 from qtextgen.models import ARCHITECTURES, build_model, default_config
 from qtextgen.numerics import ComputationRecord, Rng, cross_entropy
 
@@ -78,17 +79,21 @@ class TestFit:
         assert retained == pytest.approx(min(log.val_losses), abs=1e-9)
         assert log.best_val_loss == pytest.approx(min(log.val_losses), abs=1e-12)
 
-    def test_every_forward_runs_one_unpadded_sequence(self):
+    def test_every_sequence_runs_once_per_epoch_inside_packs(self):
         ds = _dataset("short_stories")
         cfg = _quick_cfg(epochs=2)
         train, val = train_val_split(ds, cfg.train_fraction, seed=cfg.seed)
         model = build_model(model_config_for("mlp", ds, cfg, seed=0))
-        inputs = Counter()
+        segments, calls = Counter(), []
         forward = model.logits
 
-        def logits(ids):
-            inputs[tuple(ids)] += 1
-            return forward(ids)
+        def logits(ids, lengths=None):
+            lengths = [len(ids)] if lengths is None else list(lengths)
+            calls.append(lengths)
+            ends = np.cumsum(lengths)
+            for start, end in zip(ends - lengths, ends):
+                segments[tuple(ids[start:end])] += 1
+            return forward(ids, lengths)
 
         model.logits = logits
         log = fit(model, train.sequences, val.sequences, cfg, Rng(0))
@@ -96,7 +101,9 @@ class TestFit:
         want = Counter()
         for seq in [*train.sequences, *val.sequences]:
             want[tuple(seq[:-1])] += 2
-        assert inputs == want
+        assert segments == want
+        assert all(sum(lengths) <= PACK_POSITIONS or len(lengths) == 1 for lengths in calls)
+        assert any(len(lengths) > 1 for lengths in calls)
 
     def test_validation_loss_is_log_perplexity(self):
         model, _, (_, val) = train_on_dataset("mlp", _dataset(), _quick_cfg(epochs=1))
@@ -277,6 +284,22 @@ class TestAtomicWrites:
             write_tables(BenchmarkResult(reports=[replace(report, perplexity=99.0)]), cfg)
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
         assert {p.name for p in tables} <= set(before)
+
+    def test_failed_rename_leaves_dataset_and_config(self, tmp_path, monkeypatch):
+        ds = _dataset("proverbs")
+        save_dataset(ds, tmp_path)
+        _quick_cfg(epochs=3).to_json(tmp_path / "cfg.json")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        def fail(src, dst):
+            raise OSError("simulated failure")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="simulated"):
+            save_dataset(replace(ds, texts=ds.texts[:2]), tmp_path)
+        with pytest.raises(OSError, match="simulated"):
+            _quick_cfg(epochs=4).to_json(tmp_path / "cfg.json")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 class TestRunConfig:

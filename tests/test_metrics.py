@@ -134,7 +134,7 @@ class _UniformModel:
     def __init__(self, vocab_size):
         self.vocab_size = vocab_size
 
-    def logits(self, ids):
+    def logits(self, ids, lengths=None):
         return Tensor(np.zeros((len(ids), self.vocab_size)))
 
 
@@ -145,7 +145,7 @@ class _PresetModel:
         self.logit = math.log(p / (1 - p))
         self.vocab_size = vocab_size
 
-    def logits(self, ids):
+    def logits(self, ids, lengths=None):
         row = np.array([self.logit, 0.0])
         return Tensor(np.tile(row, (len(ids), 1)))
 
@@ -163,7 +163,7 @@ class TestPerplexity:
     def test_hand_mixed_probabilities(self):
         # one step at p=0.5 then one at p=0.25 pooled: exp(mean nll) = sqrt(8)
         class TwoStep:
-            def logits(self, ids):
+            def logits(self, ids, lengths=None):
                 rows = []
                 for t in range(len(ids)):
                     p = 0.5 if t == 0 else 0.25

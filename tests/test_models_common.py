@@ -1,6 +1,7 @@
 """Shared model components: attention, positional encodings, head, decoding."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qtextgen.models import (
+    ARCHITECTURES,
     build_model,
     causal_attention,
     default_config,
@@ -15,7 +17,7 @@ from qtextgen.models import (
     quantum_positional_encoding,
     sinusoidal_table,
 )
-from qtextgen.numerics import ComputationRecord, Rng, Tensor, matmul
+from qtextgen.numerics import ComputationRecord, Rng, Tensor, concat, cross_entropy, matmul
 from oracles import per_head_attention_reference
 
 
@@ -94,24 +96,24 @@ class TestCausalAttention:
 class TestQuantumPositional:
     def test_even_entries_vanish_at_position_zero(self):
         omega, phases = Tensor(np.zeros(1)), Tensor(np.zeros(8))
-        table = quantum_positional_encoding(4, 8, omega, phases).data
+        table = quantum_positional_encoding(np.arange(4), 8, omega, phases).data
         np.testing.assert_array_equal(table[0, 0::2], np.zeros(4))
 
     def test_odd_entries_at_position_zero_are_phase_sines(self):
         rng = np.random.default_rng(2)
         phases = rng.normal(size=8)
-        table = quantum_positional_encoding(4, 8, Tensor(np.zeros(1)), Tensor(phases)).data
+        table = quantum_positional_encoding(np.arange(4), 8, Tensor(np.zeros(1)), Tensor(phases)).data
         np.testing.assert_allclose(table[0, 1::2], np.sin(phases[1::2]), atol=1e-15)
 
     def test_spot_value(self):
-        table = quantum_positional_encoding(2, 2, Tensor(np.zeros(1)), Tensor(np.zeros(2))).data
+        table = quantum_positional_encoding(np.arange(2), 2, Tensor(np.zeros(1)), Tensor(np.zeros(2))).data
         assert abs(table[1, 0] - math.sin(1.0)) < 1e-12  # sin(1) * cos(0)
 
     def test_reduces_to_classic_table_at_init_phases(self):
         d = 8
         phases = np.zeros(d)
         phases[1::2] = math.pi / 2.0
-        table = quantum_positional_encoding(6, d, Tensor(np.zeros(1)), Tensor(phases)).data
+        table = quantum_positional_encoding(np.arange(6), d, Tensor(np.zeros(1)), Tensor(phases)).data
         np.testing.assert_allclose(table, sinusoidal_table(6, d), atol=1e-12)
 
 
@@ -199,7 +201,7 @@ class TestGenerate:
 def test_embedding_plus_positional_shapes():
     cfg = default_config("qasa", vocab_size=9, max_seq_len=6, seed=0, d_model=8, n_heads=2, d_ff=8, n_blocks=1)
     model = build_model(cfg)
-    x = model.embed([1, 2, 3]) + model.positional(3)
+    x = model.embed([1, 2, 3]) + model.positional(np.arange(3))
     assert x.shape == (3, 8)
 
 
@@ -213,3 +215,68 @@ def test_matmul_head_equivalence_oracle():
         matmul(h, model.head_w).data + model.head_b.data,
         atol=1e-14,
     )
+
+
+_PACK_VOCAB, _PACK_MAX_LEN = 11, 9
+
+
+@lru_cache(maxsize=None)
+def _pack_model(arch):
+    return build_model(default_config(arch, vocab_size=_PACK_VOCAB, max_seq_len=_PACK_MAX_LEN, seed=5))
+
+
+def _pack_grads(model, loss):
+    for t in model.params.values():
+        t.zero_grad()
+    with ComputationRecord() as rec:
+        rec.backward(loss())
+    grads = {name: t.grad for name, t in model.params.items() if t.grad is not None}
+    for t in model.params.values():
+        t.zero_grad()
+    return grads
+
+
+_sequences = st.lists(st.lists(st.integers(0, _PACK_VOCAB - 1), min_size=1, max_size=_PACK_MAX_LEN),
+                      min_size=1, max_size=8)
+
+
+class TestPacking:
+    @given(arch=st.sampled_from(ARCHITECTURES), seqs=_sequences, seed=st.integers(0, 2 ** 32 - 1))
+    def test_packed_rows_match_each_sequence_alone(self, arch, seqs, seed):
+        model = _pack_model(arch)
+        flat, lengths = [t for seq in seqs for t in seq], [len(seq) for seq in seqs]
+        targets = np.random.default_rng(seed).integers(0, _PACK_VOCAB, len(flat))
+        packed = model.logits(flat, lengths).data
+        alone = np.concatenate([model.logits(seq).data for seq in seqs])
+        np.testing.assert_allclose(packed, alone, rtol=0, atol=1e-12)
+        got = _pack_grads(model, lambda: cross_entropy(model.logits(flat, lengths), targets))
+        want = _pack_grads(model, lambda: cross_entropy(concat([model.logits(seq) for seq in seqs]), targets))
+        assert got.keys() == want.keys()
+        largest = max(float(np.abs(g).max()) for g in want.values())
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12 * largest, err_msg=name)
+
+    @given(arch=st.sampled_from(ARCHITECTURES), seqs=_sequences, data=st.data())
+    def test_changing_one_sequence_leaves_the_others_bit_identical(self, arch, seqs, data):
+        model = _pack_model(arch)
+        which = data.draw(st.integers(0, len(seqs) - 1))
+        replacement = data.draw(st.lists(st.integers(0, _PACK_VOCAB - 1),
+                                         min_size=len(seqs[which]), max_size=len(seqs[which])))
+        changed = [replacement if i == which else seq for i, seq in enumerate(seqs)]
+        lengths = [len(seq) for seq in seqs]
+        ends = np.cumsum(lengths)
+        others = np.ones(ends[-1], dtype=bool)
+        others[ends[which] - lengths[which]:ends[which]] = False
+        a = model.logits([t for seq in seqs for t in seq], lengths).data
+        b = model.logits([t for seq in changed for t in seq], lengths).data
+        np.testing.assert_array_equal(a[others], b[others])
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_bad_lengths_rejected(self, arch):
+        model = _pack_model(arch)
+        with pytest.raises(ValueError, match="sum to 4, but 5"):
+            model.logits([1, 2, 3, 4, 5], [2, 2])
+        with pytest.raises(ValueError, match="at least one"):
+            model.logits([1, 2, 3], [3, 0])
+        with pytest.raises(ValueError, match="exceeds max_seq_len"):
+            model.logits(list(range(1, _PACK_MAX_LEN + 3)), [1, _PACK_MAX_LEN + 1])

@@ -54,6 +54,17 @@ class TestMaskedSoftmax:
         assert out.data[0, 0] == 1.0
         assert out.data[0, 1] == 0.0
 
+    def test_keep_mask_confines_each_row_to_its_block(self):
+        s = np.random.default_rng(3).normal(size=(2, 5, 5))
+        keep = np.tri(5, dtype=bool)
+        keep[3:, :3] = False  # rows 3-4 form a second block
+        out = masked_softmax_rows(Tensor(s), keep).data
+        np.testing.assert_array_equal(out[:, :3, :3], masked_softmax_rows(Tensor(s[:, :3, :3]), causal=True).data)
+        np.testing.assert_array_equal(out[:, 3:, 3:], masked_softmax_rows(Tensor(s[:, 3:, 3:]), causal=True).data)
+        assert not out[:, 3:, :3].any()
+        with pytest.raises(ValueError, match="keep-mask"):
+            masked_softmax_rows(Tensor(s), np.ones((4, 5), dtype=bool))
+
     def test_hand_evaluated_row(self):
         out = masked_softmax_rows(Tensor([[math.log(2.0), 0.0]]), causal=False)
         np.testing.assert_allclose(out.data, [[2.0 / 3.0, 1.0 / 3.0]], rtol=1e-15)
