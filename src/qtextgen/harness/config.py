@@ -8,7 +8,6 @@ from pathlib import Path
 
 from ..corpus import DATASET_NAMES
 from ..models import ARCHITECTURES, ModelConfig
-from .files import write_text_atomic
 
 # model_config_for sets these ModelConfig fields itself
 _OVERRIDABLE = {f.name for f in fields(ModelConfig)} - {"arch", "vocab_size", "seed"}
@@ -90,9 +89,6 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self, path):
-        write_text_atomic(path, json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def load_config(path) -> RunConfig:

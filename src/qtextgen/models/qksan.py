@@ -9,6 +9,13 @@ gate before mixing; all heads run at once as the leading axis of (h, m, .)
 stacks.  The block adds a gated residual enhancement and a ReLU*cosine
 feed-forward, each followed by LayerNorm.
 
+Each per-head parameter family is stored once, in the layout the forward pass
+reads, and named ``block<i>.heads.<name>``: the q/k/v weights as (d, h*dh)
+column blocks (the transformer's layout) with (h*dh,) biases, and the
+feature-map and gate parameters as (h, ., .) stacks whose entry a is head
+a's.  Initial values are drawn head by head, so they do not depend on the
+storage layout.
+
 A pack of sequences is one block of rows: positions restart in each
 sequence, and the pack's block-diagonal keep-mask masks the scores with the
 kernel bias added, so no row weighs another sequence's kernel entries.  One
@@ -23,7 +30,6 @@ import numpy as np
 
 from ..numerics import (
     Tensor,
-    concat,
     cos,
     init_bias,
     init_weight,
@@ -40,39 +46,33 @@ from .common import BaseModel, causal_attention, split_heads
 SCORE_EPS = 1e-6  # floor inside log(kernel + eps)
 
 
-def feature_map(z: Tensor, p: dict) -> Tensor:
-    """Row-wise gaussian envelope times a cosine bank for each head of an (h, m, dh) stack; ``p``: head_stacks."""
-    diff = z - p["mu"]
+def feature_map(z: Tensor, block: QksanBlock) -> Tensor:
+    """Row-wise gaussian envelope times a cosine bank for each head of an (h, m, dh) stack."""
+    diff = z - block.mu
     sq = (diff * diff).sum(axis=2, keepdims=True)
-    envelope = t_exp(-(sq / (2.0 * t_exp(2.0 * p["log_sigma"]))))
-    phases = cos(matmul(z, transpose(p["omega"], (0, 2, 1))) + p["b_phase"])
+    envelope = t_exp(-(sq / (2.0 * t_exp(2.0 * block.log_sigma))))
+    phases = cos(matmul(z, transpose(block.omega, (0, 2, 1))) + block.b_phase)
     return envelope * phases
 
 
-class QksanHead:
-    """Projections plus feature-map and value-gate parameters for one head (the block runs all heads at once)."""
+def _draw_head(rng, d: int, dh: int, dq: int) -> dict[str, np.ndarray]:
+    """One head's initial arrays, drawn in this order; the block joins them over heads.
 
-    def __init__(self, model: BaseModel, block: int, index: int):
-        cfg = model.config
-        d, dh, dq = cfg.d_model, cfg.head_dim, cfg.quantum_features
-        self.dh, self.dq = dh, dq
-        p = f"block{block}.head{index}."
-        rng = model.rng
-        add = model._param
-        self.w_q = add(p + "w_q", init_weight(rng, d, (d, dh)))
-        self.b_q = add(p + "b_q", init_bias(dh))
-        self.w_k = add(p + "w_k", init_weight(rng, d, (d, dh)))
-        self.b_k = add(p + "b_k", init_bias(dh))
-        self.w_v = add(p + "w_v", init_weight(rng, d, (d, dh)))
-        self.b_v = add(p + "b_v", init_bias(dh))
-        self.mu = add(p + "feat.mu", init_bias(dh))
-        self.log_sigma = add(p + "feat.log_sigma", np.zeros(()))
-        self.omega = add(p + "feat.omega", rng.normal((dq, dh)) / math.sqrt(dh))
-        self.b_phase = add(p + "feat.b_phase", rng.uniform(0.0, 2.0 * math.pi, (dq,)))
-        self.u_v = add(p + "gate.u_v", init_weight(rng, dq, (dq, dh)))
-        self.c_v = add(p + "gate.c_v", init_bias(dh))
-        self.w_omega = add(p + "gate.w_omega", init_weight(rng, dh, (dh, dh)))
-        self.b_omega = add(p + "gate.b_omega", init_bias(dh))
+    Vectors that the (h, m, .) stacks broadcast over rows are drawn as (1, n).
+    """
+    return {
+        "w_q": init_weight(rng, d, (d, dh)), "b_q": init_bias(dh),
+        "w_k": init_weight(rng, d, (d, dh)), "b_k": init_bias(dh),
+        "w_v": init_weight(rng, d, (d, dh)), "b_v": init_bias(dh),
+        "feat.mu": init_bias((1, dh)),
+        "feat.log_sigma": np.zeros((1, 1)),
+        "feat.omega": rng.normal((dq, dh)) / math.sqrt(dh),
+        "feat.b_phase": rng.uniform(0.0, 2.0 * math.pi, (1, dq)),
+        "gate.u_v": init_weight(rng, dq, (dq, dh)),
+        "gate.c_v": init_bias((1, dh)),
+        "gate.w_omega": init_weight(rng, dh, (dh, dh)),
+        "gate.b_omega": init_bias((1, dh)),
+    }
 
 
 class QksanBlock:
@@ -82,7 +82,20 @@ class QksanBlock:
         p = f"block{index}."
         rng = model.rng
         add = model._param
-        self.heads = [QksanHead(model, index, a) for a in range(cfg.n_heads)]
+        heads = [_draw_head(rng, d, cfg.head_dim, cfg.quantum_features) for _ in range(cfg.n_heads)]
+
+        def columns(name):  # head a owns columns a*dh:(a+1)*dh
+            return add(p + "heads." + name, np.concatenate([head[name] for head in heads], axis=-1))
+
+        def stack(name):  # entry a is head a's
+            return add(p + "heads." + name, np.stack([head[name] for head in heads]))
+
+        self.w_q, self.b_q, self.w_k, self.b_k, self.w_v, self.b_v = map(
+            columns, ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v"))
+        self.mu, self.log_sigma, self.omega, self.b_phase = map(
+            stack, ("feat.mu", "feat.log_sigma", "feat.omega", "feat.b_phase"))
+        self.u_v, self.c_v, self.w_omega, self.b_omega = map(
+            stack, ("gate.u_v", "gate.c_v", "gate.w_omega", "gate.b_omega"))
         self.w_o = add(p + "w_o", init_weight(rng, d, (d, d)))
         self.b_o = add(p + "b_o", init_bias(d))
         self.w_gate_y = add(p + "res.w_y", init_weight(rng, d, (d, d)))
@@ -102,38 +115,28 @@ class QksanBlock:
         self.ln2_g = add(p + "ln2.gain", init_bias(d) + 1.0)
         self.ln2_b = add(p + "ln2.shift", init_bias(d))
 
-    def head_stacks(self) -> dict[str, Tensor]:
-        """Head a's feature-map and gate parameters as entry a of (h, ., .) stacks; vectors become rows."""
-        names = ("mu", "log_sigma", "omega", "b_phase", "u_v", "c_v", "w_omega", "b_omega")
-        stacks = {}
-        for name in names:
-            shape = getattr(self.heads[0], name).shape
-            joined = concat([getattr(head, name) for head in self.heads])
-            stacks[name] = joined.reshape((len(self.heads),) + (1,) * (2 - len(shape)) + shape)
-        return stacks
-
-    def attention(self, x: Tensor, causal=True) -> Tensor:
+    def attention(self, x: Tensor, keep) -> Tensor:
         """Every head's kernel attention over the rows of x, as an (h, m, head_dim) stack.
 
-        ``causal`` is True for one sequence or the keep-mask of a pack.
+        ``keep`` is the causal keep-mask of the call's pack (``Pack.keep``).
         """
-        h, p = len(self.heads), self.head_stacks()
-        q, k, v = (split_heads(matmul(x, concat([getattr(head, "w_" + r) for head in self.heads], axis=1))
-                               + concat([getattr(head, "b_" + r) for head in self.heads]), h) for r in "qkv")
-        gamma = matmul(feature_map(q, p), transpose(feature_map(k, p), (0, 2, 1)))
+        h = self.mu.shape[0]
+        q, k, v = (split_heads(matmul(x, w) + b, h)
+                   for w, b in ((self.w_q, self.b_q), (self.w_k, self.b_k), (self.w_v, self.b_v)))
+        gamma = matmul(feature_map(q, self), transpose(feature_map(k, self), (0, 2, 1)))
         # the cosine bank can make individual kernel entries negative even
         # though each head's Gram matrix is PSD; clamp before the log
         bias = log(relu(gamma) + SCORE_EPS)
-        gate = (sigmoid(matmul(feature_map(v, p), p["u_v"]) + p["c_v"])
-                * cos(matmul(v, transpose(p["w_omega"], (0, 2, 1))) + p["b_omega"]))
-        return causal_attention(q, k, v * gate, h, 1.0 / math.sqrt(q.shape[2]), bias, causal)
+        gate = (sigmoid(matmul(feature_map(v, self), self.u_v) + self.c_v)
+                * cos(matmul(v, transpose(self.w_omega, (0, 2, 1))) + self.b_omega))
+        return causal_attention(q, k, v * gate, h, 1.0 / math.sqrt(q.shape[2]), bias, keep)
 
-    def multi_head(self, x: Tensor, causal=True) -> Tensor:
-        mixed = transpose(self.attention(x, causal), (1, 0, 2)).reshape(x.shape[0], -1)
+    def multi_head(self, x: Tensor, keep) -> Tensor:
+        mixed = transpose(self.attention(x, keep), (1, 0, 2)).reshape(x.shape[0], -1)
         return matmul(mixed, self.w_o) + self.b_o
 
-    def forward(self, x: Tensor, causal=True) -> Tensor:
-        y = self.multi_head(x, causal)
+    def forward(self, x: Tensor, keep) -> Tensor:
+        y = self.multi_head(x, keep)
         gate = sigmoid(matmul(x, self.w_gate_s) + self.b_gate_s) * cos(matmul(x, self.w_gate_c) + self.b_gate_c)
         enhanced = relu(matmul(y, self.w_gate_y) + self.b_gate_y) * gate
         z1 = layer_norm(x + enhanced, self.ln1_g, self.ln1_b)

@@ -53,14 +53,13 @@ from ..qsim import build_qrwkv_circuit, vqc_forward
 from .common import BaseModel, Pack, causal_attention
 
 
-def previous_rows(x: Tensor, starts=None) -> Tensor:
-    """Row t of the result is row t-1 of x; row 0 and the rows flagged in ``starts`` are zero.
+def previous_rows(x: Tensor, starts) -> Tensor:
+    """Row t of the result is row t-1 of x; the rows flagged in ``starts`` are zero.
 
     A zero row is the state before a sequence; ``starts`` flags the first row
-    of every segment of a pack (None: row 0 alone).
+    of every segment of a pack (``Pack.starts``).
     """
-    first = np.arange(x.shape[0]) == 0 if starts is None else starts
-    return x[np.maximum(np.arange(x.shape[0]) - 1, 0)] * Tensor(~first[:, None])
+    return x[np.maximum(np.arange(x.shape[0]) - 1, 0)] * Tensor(~starts[:, None])
 
 
 class QrwkvLayer:
@@ -110,10 +109,10 @@ class QrwkvLayer:
         # lambda = exp(-dt/tau) with dt = 1 and tau = exp(log_tau)
         return t_exp(t_neg(t_exp(t_neg(self.log_tau))))
 
-    def time_mix(self, x: Tensor, starts=None):
+    def time_mix(self, x: Tensor, starts):
         """Receptance-gated decayed memory for every row of x; returns (y_time, memory m).
 
-        The memory restarts at row 0 and at the rows flagged in ``starts``.
+        The memory restarts at the rows flagged in ``starts``.
         """
         u = matmul(x, self.w_key)
         mem = decay_scan(matmul(x, self.w_value), self.decay(), starts)
@@ -131,10 +130,10 @@ class QrwkvLayer:
         full_params = concat([angles, broadcast_rows(self.theta, x.shape[0])], axis=1)
         return vqc_forward(self.spec, full_params, amp_in)
 
-    def channel_mix(self, x: Tensor, qemb: Tensor, starts=None):
+    def channel_mix(self, x: Tensor, qemb: Tensor, starts):
         """Channel mixing of every row of x with its projected circuit readout ``qemb``; returns (c, h).
 
-        Row t mixes with row t-1, and with zeros at row 0 and at the rows flagged in ``starts``.
+        Row t mixes with row t-1, and with zeros at the rows flagged in ``starts``.
         """
         mlp = matmul(gelu(matmul(x, self.w_ffa) + self.b_ffa), self.w_ffb) + self.b_ffb
         z = matmul(qemb, self.w_mix1) + matmul(mlp, self.w_mix2) + self.b_mix1
@@ -142,9 +141,8 @@ class QrwkvLayer:
         c = matmul(h * previous_rows(h, starts), self.w_mix3) + self.b_mix2
         return c, h
 
-    def forward(self, x: Tensor, pack: Pack | None = None) -> Tensor:
-        """The layer over the rows of x: one sequence, or the rows of ``pack``."""
-        pack = Pack([x.shape[0]]) if pack is None else pack
+    def forward(self, x: Tensor, pack: Pack) -> Tensor:
+        """The layer over the rows of x, laid out as ``pack``."""
         readout = self.circuit_readout(x)
         y_time, _ = self.time_mix(x, pack.starts)
         c, _ = self.channel_mix(x, matmul(readout, self.w_emb), pack.starts)

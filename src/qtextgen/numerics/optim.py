@@ -48,16 +48,3 @@ class Adam:
     def zero_grad(self):
         for _, p in self.params:
             p.grad = None
-
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": {name: m.tolist() for name, m in self._m.items()},
-            "v": {name: v.tolist() for name, v in self._v.items()},
-        }
-
-    def load_state_dict(self, state: dict):
-        self.t = int(state["t"])
-        for name, _ in self.params:
-            self._m[name] = np.array(state["m"][name], dtype=np.float64).reshape(self._m[name].shape)
-            self._v[name] = np.array(state["v"][name], dtype=np.float64).reshape(self._v[name].shape)

@@ -113,11 +113,3 @@ class Rng:
             raise ValueError("weights must have positive total")
         u = self.random() * c[-1]
         return int(min(np.searchsorted(c, u, side="right"), len(w) - 1))
-
-    def get_state(self) -> dict:
-        return {"seed": self.seed, "position": self.position, "s": list(self._s)}
-
-    def set_state(self, state: dict):
-        self.seed = int(state["seed"])
-        self.position = int(state["position"])
-        self._s = [int(v) & _MASK for v in state["s"]]

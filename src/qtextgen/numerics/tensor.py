@@ -399,24 +399,20 @@ def take(a, idx):
 
 
 def concat(tensors, axis=0):
-    """Join tensors along ``axis``; a 0-d tensor joins as a length-1 vector."""
     tensors = [_lift(t) for t in tensors]
-    parts = [np.atleast_1d(t.data) for t in tensors]
-    out = Tensor(np.concatenate(parts, axis=axis), copy=False)
-    splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), copy=False)
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def bw(g):
-        return tuple(np.ascontiguousarray(p).reshape(t.shape) for p, t in zip(np.split(g, splits, axis=axis), tensors))
+        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
 
     return record_op(out, tuple(tensors), bw)
 
 
 def broadcast_rows(a, n: int):
-    """Repeat a 1-D tensor as each of the ``n`` rows of a matrix."""
+    """Repeat a tensor ``n`` times along a new leading axis: (n,) + a.shape."""
     a = _lift(a)
-    if a.ndim != 1:
-        raise ValueError(f"broadcast_rows expects a 1-D tensor, got shape {a.shape}")
-    out = Tensor(np.broadcast_to(a.data, (n, a.size)), copy=True)
+    out = Tensor(np.broadcast_to(a.data, (n,) + a.shape), copy=True)
     return record_op(out, (a,), lambda g: (g.sum(axis=0),))
 
 

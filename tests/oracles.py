@@ -7,15 +7,18 @@ matrices, central differences) and never calls the code paths it checks.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from qtextgen.numerics import (
     ComputationRecord,
+    Rng,
     Tensor,
     concat,
     cos,
     cross_entropy,
+    derive_seed,
     exp,
     log,
     masked_softmax_rows,
@@ -175,6 +178,76 @@ def random_circuit(rng: np.random.Generator, n_qubits: int, n_gates: int = 12):
 
 
 # ---------------------------------------------------------------------------
+# per-head parameters of the models that store them as head stacks
+# ---------------------------------------------------------------------------
+
+def head_view(owner, a: int, tape: bool = False) -> SimpleNamespace:
+    """Head a's parameters of a QKSAN block or a QASA model, each in its one-head shape.
+
+    Both store every per-head family as one stacked parameter.  Each attribute
+    of the result is head a's part of the stack of that name: by default an
+    object whose ``.data`` is a numpy view, so writes through it change the
+    model; with ``tape=True`` a recorded slice, so gradients taken through it
+    reach the stacked parameter.  A QKSAN view also carries ``dh`` and ``dq``.
+    """
+    if hasattr(owner, "theta_q"):  # QASA: (h, P) angle stacks
+        index, sizes = {f"theta_{r}": (a,) for r in "qkv"}, {}
+    else:  # QKSAN: (d, h*dh) projections, (h*dh,) biases, (h, ., .) stacks
+        dq, dh = owner.omega.shape[1:]
+        cols = (Ellipsis, slice(a * dh, (a + 1) * dh))
+        index = {f"{kind}_{r}": cols for r in "qkv" for kind in "wb"}
+        index.update({name: (a, 0) for name in ("mu", "b_phase", "c_v", "b_omega")})
+        index.update({name: (a,) for name in ("omega", "u_v", "w_omega")})
+        index["log_sigma"] = (a, 0, 0, Ellipsis)  # a 0-d view
+        sizes = {"dh": dh, "dq": dq}
+    parts = {name: getattr(owner, name)[i] if tape else SimpleNamespace(data=getattr(owner, name).data[i])
+             for name, i in index.items()}
+    return SimpleNamespace(**parts, **sizes)
+
+
+def initial_head_draws(config) -> list[dict[str, list[np.ndarray]]]:
+    """Every per-head initial array of a QKSAN or QASA model, redrawn one head at a time.
+
+    Replays the stream ``Rng(derive_seed(seed, "init", arch))`` in the
+    documented order: the embedding, then per QKSAN block each head's w_q,
+    w_k, w_v, omega ~ N(0, 1)/sqrt(dh), b_phase ~ U(0, 2 pi), u_v and w_omega
+    followed by the block's own weights; for QASA each head's q, k and v
+    angles ~ U(0, 2 pi).  Dense weights are U(+-1/sqrt(fan_in)); biases, mu
+    and log_sigma start at zero.  Returns one {family name: [head 0's array,
+    head 1's, ...]} per QKSAN block (one for the QASA model), with the names
+    of :func:`head_view`.
+    """
+    rng = Rng(derive_seed(config.seed, "init", config.arch))
+    d, h, dh, dq, ff = config.d_model, config.n_heads, config.head_dim, config.quantum_features, config.d_ff
+
+    def dense(fan_in, shape):
+        return rng.uniform(-1.0 / math.sqrt(fan_in), 1.0 / math.sqrt(fan_in), shape)
+
+    dense(d, (config.vocab_size, d))  # embedding
+    if config.arch == "qasa":
+        n_angles = config.qasa_qubits * config.circuit_layers
+        angles = [[rng.uniform(0.0, 2.0 * math.pi, (n_angles,)) for _ in "qkv"] for _ in range(h)]
+        return [{f"theta_{r}": [head[i] for head in angles] for i, r in enumerate("qkv")}]
+    blocks = []
+    for _ in range(config.n_blocks):
+        heads = []
+        for _ in range(h):
+            head = {f"w_{r}": dense(d, (d, dh)) for r in "qkv"}
+            head["omega"] = rng.normal((dq, dh)) / math.sqrt(dh)
+            head["b_phase"] = rng.uniform(0.0, 2.0 * math.pi, (dq,))
+            head["u_v"] = dense(dq, (dq, dh))
+            head["w_omega"] = dense(dh, (dh, dh))
+            head.update({f"b_{r}": np.zeros(dh) for r in "qkv"})
+            head.update(mu=np.zeros(dh), c_v=np.zeros(dh), b_omega=np.zeros(dh), log_sigma=np.zeros(()))
+            heads.append(head)
+        blocks.append({name: [head[name] for head in heads] for name in heads[0]})
+        # the block's own weights: w_o, three residual gates, then the feed-forward's w_1, w_cos and w_2
+        for fan_in, shape in [(d, (d, d))] * 4 + [(d, (d, ff))] * 2 + [(ff, (ff, d))]:
+            dense(fan_in, shape)
+    return blocks
+
+
+# ---------------------------------------------------------------------------
 # attention oracles
 # ---------------------------------------------------------------------------
 
@@ -200,7 +273,8 @@ def per_head_attention_reference(q: Tensor, k: Tensor, v: Tensor, n_heads: int, 
 def qksan_multi_head_reference(block, x: Tensor, eps: float = 1e-6) -> Tensor:
     """QKSAN's multi-head attention one head at a time, on the tape, with 2-D ops only.
 
-    Each head projects x, lifts its q/k/v rows through its own feature map,
+    Each head reads its slices of the block's stacks (:func:`head_view` on
+    the tape), projects x, lifts its q/k/v rows through its own feature map,
     adds log(relu(gamma) + eps) of the kernel Gram matrix to its scaled dot
     scores, and mixes its gated values; the head outputs are concatenated and
     projected through the block's output weights.
@@ -222,7 +296,8 @@ def qksan_multi_head_reference(block, x: Tensor, eps: float = 1e-6) -> Tensor:
                 * cos(matmul(v, transpose(head.w_omega)) + head.b_omega))
         return matmul(weights, v * gate)
 
-    return matmul(concat([attention(head) for head in block.heads], axis=1), block.w_o) + block.b_o
+    heads = [head_view(block, a, tape=True) for a in range(block.mu.shape[0])]
+    return matmul(concat([attention(head) for head in heads], axis=1), block.w_o) + block.b_o
 
 
 # ---------------------------------------------------------------------------

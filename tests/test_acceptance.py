@@ -27,7 +27,7 @@ from qtextgen.metrics import bleu_n, distinct_n, perplexity, repetition_rate
 from qtextgen.models import ARCHITECTURES, build_model, default_config, generate
 from qtextgen.numerics import ComputationRecord, Rng, Tensor, derive_seed, masked_softmax_rows
 from qtextgen.qsim import amplitude_encode, param_shift_grad, run_circuit, vqc_forward
-from oracles import dense_unitary, model_grad_check, random_circuit
+from oracles import dense_unitary, head_view, model_grad_check, random_circuit
 
 TABLE_TARGETS = {
     "simple_sentences": (50, 5.2, 45, 7),
@@ -92,7 +92,7 @@ def test_criterion_3_kernel_attention_algebra(acceptance):
     for trial in range(100):
         model = build_model(default_config("qksan", vocab_size=11, max_seq_len=8, seed=trial,
                                            d_model=8, n_heads=2, d_ff=16, n_blocks=1, quantum_features=6))
-        head = model.blocks[0].heads[0]
+        head = head_view(model.blocks[0], 0)
         x = rng.normal(size=(4, 8))
         q = x @ head.w_q.data + head.b_q.data
         k = x @ head.w_k.data + head.b_k.data

@@ -79,6 +79,7 @@ def _rand(*shape):
     (lambda v, lam: decay_scan(v, lam, np.array([True, False, False, True])),
      [_rand(4, 2), 0.99 + 0.005 * _rand(2)]),                                                      # last row restarts
     (lambda v, lam: decay_scan(v, lam, np.ones(4, dtype=bool)), [_rand(4, 3), 0.5 + 0.3 * _rand(3)]),  # every row
+    (lambda a: broadcast_rows(a, 3), [_rand(2, 4)]),                                             # a 2-D stack
 ])
 def test_primitive_gradients(fn, arrays):
     assert op_grad_check(fn, arrays) < TOL

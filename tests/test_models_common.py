@@ -18,7 +18,7 @@ from qtextgen.models import (
     sinusoidal_table,
 )
 from qtextgen.numerics import ComputationRecord, Rng, Tensor, concat, cross_entropy, matmul
-from oracles import per_head_attention_reference
+from oracles import head_view, initial_head_draws, per_head_attention_reference
 
 
 def classical_attention(q, k, v):
@@ -280,3 +280,24 @@ class TestPacking:
             model.logits([1, 2, 3], [3, 0])
         with pytest.raises(ValueError, match="exceeds max_seq_len"):
             model.logits(list(range(1, _PACK_MAX_LEN + 3)), [1, _PACK_MAX_LEN + 1])
+
+
+class TestHeadStacks:
+    @pytest.mark.parametrize("arch", ["qksan", "qasa"])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_initial_stacks_equal_per_head_draws(self, arch, n_heads):
+        # the stacks hold exactly what drawing one head at a time gives, bit for bit
+        for seed in (0, 1, 42):
+            config = default_config(arch, vocab_size=11, max_seq_len=8, seed=seed, d_model=8, n_heads=n_heads,
+                                    d_ff=16, n_blocks=2, quantum_features=6)
+            model = build_model(config)
+            owners = model.blocks if arch == "qksan" else [model]
+            draws = initial_head_draws(config)
+            assert len(draws) == len(owners)
+            for owner, families in zip(owners, draws):
+                assert set(families) == set(vars(head_view(owner, 0))) - {"dh", "dq"}
+                for name, arrays in families.items():
+                    assert len(arrays) == n_heads
+                    for a, want in enumerate(arrays):
+                        got = getattr(head_view(owner, a), name).data
+                        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (seed, name, a)

@@ -5,7 +5,7 @@ import numpy as np
 import qtextgen.models.qasa as qasa
 from qtextgen.models import build_model, default_config
 from qtextgen.numerics import Rng
-from oracles import model_grad_check
+from oracles import head_view, model_grad_check
 
 
 def _recorded_circuit_runs(monkeypatch):
@@ -37,16 +37,16 @@ def test_circuit_parameter_shapes():
     model = _model()
     spec = model.spec
     assert spec.n_params == model.config.qasa_qubits * model.config.circuit_layers
-    for head in model.circuit_params:
+    for a in range(model.config.n_heads):
         for role in ("q", "k", "v"):
-            assert head[role].shape == (spec.n_params,)
+            assert getattr(head_view(model, a), "theta_" + role).data.shape == (spec.n_params,)
 
 
 def test_three_independent_circuits_per_head():
     model = _model(seed=3)
-    head = model.circuit_params[0]
-    assert not np.array_equal(head["q"].data, head["k"].data)
-    assert not np.array_equal(head["k"].data, head["v"].data)
+    head = head_view(model, 0)
+    assert not np.array_equal(head.theta_q.data, head.theta_k.data)
+    assert not np.array_equal(head.theta_k.data, head.theta_v.data)
 
 
 def test_single_token_has_no_cross_attention():
@@ -59,9 +59,9 @@ def test_single_token_has_no_cross_attention():
 
 def test_zero_circuit_params_forward_is_finite():
     model = _model(seed=5)
-    for head in model.circuit_params:
+    for a in range(model.config.n_heads):
         for role in ("q", "k", "v"):
-            head[role].data[...] = 0.0
+            getattr(head_view(model, a), "theta_" + role).data[...] = 0.0
     out = model.logits([1, 4, 6]).data
     assert np.isfinite(out).all()
 

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from qtextgen.models import build_model, default_config
 from qtextgen.models.qksan import SCORE_EPS, feature_map
+from qtextgen.models.common import Pack
 from qtextgen.numerics import ComputationRecord, Tensor, masked_softmax_rows
-from oracles import model_grad_check, qksan_head_reference, qksan_multi_head_reference
+from oracles import head_view, model_grad_check, qksan_head_reference, qksan_multi_head_reference
 
 
 def _model(seed=0, **kw):
@@ -19,18 +20,18 @@ def _model(seed=0, **kw):
 
 
 def _head(seed=0, **kw):
-    return _model(seed=seed, **kw).blocks[0].heads[0]
+    return head_view(_model(seed=seed, **kw).blocks[0], 0)
 
 
 def _block_and_head(seed):
     block = _model(seed=seed).blocks[0]
-    return block, block.heads[0]
+    return block, head_view(block, 0)
 
 
 def _head_features(block, z):
     """Head 0's slice of the block's all-heads feature map, with the rows z given to every head."""
-    stack = np.broadcast_to(z, (len(block.heads),) + z.shape)
-    return feature_map(Tensor(stack), block.head_stacks()).data[0]
+    stack = np.broadcast_to(z, (block.mu.shape[0],) + z.shape)
+    return feature_map(Tensor(stack), block).data[0]
 
 
 class TestFeatureMap:
@@ -80,19 +81,21 @@ class TestAttentionHead:
         shifted = masked_softmax_rows(Tensor(combined), causal=True).data
         np.testing.assert_allclose(shifted, classical, atol=1e-12)
         # and the head output equals the scalar oracle under the same params
-        np.testing.assert_allclose(block.attention(Tensor(x)).data[0], qksan_head_reference(x, head), atol=1e-10)
+        out = block.attention(Tensor(x), Pack([3]).keep).data[0]
+        np.testing.assert_allclose(out, qksan_head_reference(x, head), atol=1e-10)
 
     def test_single_token_returns_gated_value_row(self):
         block, head = _block_and_head(seed=5)
         x = Tensor(np.random.default_rng(2).normal(size=(1, 8)))
-        out = block.attention(x).data[0]
+        out = block.attention(x, Pack([1]).keep).data[0]
         ref = qksan_head_reference(x.data, head)
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_three_token_instance_matches_scalar_oracle(self):
         block, head = _block_and_head(seed=6)
         x = np.random.default_rng(3).normal(size=(3, 8))
-        np.testing.assert_allclose(block.attention(Tensor(x)).data[0], qksan_head_reference(x, head), atol=1e-10)
+        out = block.attention(Tensor(x), Pack([3]).keep).data[0]
+        np.testing.assert_allclose(out, qksan_head_reference(x, head), atol=1e-10)
 
 
 class TestMultiHead:
@@ -106,7 +109,7 @@ class TestMultiHead:
         rng = np.random.default_rng(seed)
         x, probe = rng.normal(size=(m, n_heads * width)), rng.normal(size=(m, n_heads * width))
         results = []
-        for attend in (block.multi_head, lambda t: qksan_multi_head_reference(block, t)):
+        for attend in (lambda t: block.multi_head(t, Pack([m]).keep), lambda t: qksan_multi_head_reference(block, t)):
             inputs = Tensor(x)
             with ComputationRecord() as rec:
                 out = attend(inputs)
@@ -190,7 +193,7 @@ class TestBlock:
         # run the block far enough to read z1: disable the ffn the same way
         block.w_1.data[...] = 0.0
         block.b_1.data[...] = 0.0
-        out = block.forward(Tensor(x)).data
+        out = block.forward(Tensor(x), Pack([3]).keep).data
         # with F_q = 0 and ffn hidden = 0, output is LN(LN(x))
         z1 = z1_expect
         z2 = (z1 - z1.mean(axis=1, keepdims=True)) / np.sqrt(z1.var(axis=1) + 1e-5)[:, None]

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtextgen.models import build_model, causal_attention, default_config
+from qtextgen.models import Pack, build_model, causal_attention, default_config
 from qtextgen.numerics import Tensor, matmul
 from oracles import model_grad_check, qrwkv_layer_reference
 
@@ -27,7 +27,7 @@ class TestTimeMixing:
         layer.log_tau.data[...] = 20.0  # tau huge, decay ~ 1
         d = model.config.d_model
         x = np.random.default_rng(0).normal(size=(3, d))
-        _, m = layer.time_mix(Tensor(x))
+        _, m = layer.time_mix(Tensor(x), Pack([3]).starts)
         total = (x @ layer.w_value.data).sum(axis=0)
         np.testing.assert_allclose(m.data[-1], total, atol=1e-6)
 
@@ -38,7 +38,7 @@ class TestTimeMixing:
         layer.b_recept.data[...] = 0.0
         d = model.config.d_model
         x = Tensor(np.random.default_rng(1).normal(size=(3, d)))
-        y, m = layer.time_mix(x)
+        y, m = layer.time_mix(x, Pack([3]).starts)
         u = x.data @ layer.w_key.data
         np.testing.assert_allclose(y.data, 0.5 * u * m.data, atol=1e-12)
 
@@ -59,7 +59,7 @@ class TestTimeMixing:
             m_ref = lam * m_ref + v
             r = 1.0 / (1.0 + np.exp(-(np.concatenate([x, m_prev], axis=1) @ layer.w_recept.data + layer.b_recept.data)))
             ys_ref.append(r * u * m_ref)
-        y, _ = layer.time_mix(Tensor(np.concatenate(xs, axis=0)))
+        y, _ = layer.time_mix(Tensor(np.concatenate(xs, axis=0)), Pack([3]).starts)
         for t, y_ref in enumerate(ys_ref):
             np.testing.assert_allclose(y.data[t:t + 1], y_ref, atol=1e-12)
 
@@ -80,7 +80,7 @@ class TestChannelMixing:
         layer = model.layers[0]
         d = model.config.d_model
         x = Tensor(np.random.default_rng(3).normal(size=(1, d)))
-        c, _ = layer.channel_mix(x, _qemb(layer, x))
+        c, _ = layer.channel_mix(x, _qemb(layer, x), Pack([1]).starts)
         np.testing.assert_allclose(c.data, layer.b_mix2.data[None, :], atol=1e-12)
 
     def test_zero_mix_weights_constant_activation(self):
@@ -91,7 +91,7 @@ class TestChannelMixing:
         layer.b_mix1.data[...] = 0.7
         d = model.config.d_model
         x = Tensor(np.random.default_rng(4).normal(size=(3, d)))
-        _, h = layer.channel_mix(x, _qemb(layer, x))
+        _, h = layer.channel_mix(x, _qemb(layer, x), Pack([3]).starts)
         acts = h.data
         np.testing.assert_allclose(acts[0], acts[1], atol=1e-15)
         np.testing.assert_allclose(acts[1], acts[2], atol=1e-15)
@@ -129,8 +129,8 @@ class TestFullLayer:
         for p in model.parameters().values():
             p.data[...] = 0.0
         x = Tensor(np.zeros((3, model.config.d_model)))
-        a = layer.forward(x).data
-        b = layer.forward(x).data
+        a = layer.forward(x, Pack([3])).data
+        b = layer.forward(x, Pack([3])).data
         assert np.isfinite(a).all()
         np.testing.assert_array_equal(a, b)
 
@@ -151,7 +151,7 @@ class TestParallelMatchesRecurrent:
         model = _model(seed=seed % 1000)
         layer = model.layers[0]
         x = np.random.default_rng(seed).normal(size=(length, model.config.d_model))
-        np.testing.assert_allclose(layer.forward(Tensor(x)).data, qrwkv_layer_reference(layer, x),
+        np.testing.assert_allclose(layer.forward(Tensor(x), Pack([length])).data, qrwkv_layer_reference(layer, x),
                                    rtol=0, atol=1e-12)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.data())
@@ -163,7 +163,7 @@ class TestParallelMatchesRecurrent:
         t = data.draw(st.integers(0, length - 1))
         changed = x.copy()
         changed[t] = rng.normal(size=model.config.d_model)
-        a = layer.forward(Tensor(x)).data
-        b = layer.forward(Tensor(changed)).data
+        a = layer.forward(Tensor(x), Pack([length])).data
+        b = layer.forward(Tensor(changed), Pack([length])).data
         np.testing.assert_array_equal(a[:t], b[:t])
         assert not np.array_equal(a[t], b[t])

@@ -207,18 +207,6 @@ class TestAdam:
         with pytest.raises(ValueError, match="no gradient"):
             opt.step()
 
-    def test_state_roundtrip(self):
-        p = Tensor([1.0, 2.0])
-        opt = Adam([("p", p)])
-        p.grad = np.array([0.5, -0.5])
-        opt.step()
-        state = opt.state_dict()
-        q = Tensor([1.0, 2.0])
-        opt2 = Adam([("p", q)])
-        opt2.load_state_dict(state)
-        assert opt2.t == 1
-        np.testing.assert_array_equal(opt2._m["p"], opt._m["p"])
-
 
 class TestViews:
     def test_reshape_and_transpose_share_memory(self):
