@@ -1,6 +1,15 @@
 """The five benchmarked architectures as token-ids -> next-token-logits models."""
 
-from .common import EOS_ID, BaseModel, Pack, causal_attention, generate, quantum_positional_encoding, sinusoidal_table
+from .common import (
+    EOS_ID,
+    BaseModel,
+    DecodeCache,
+    Pack,
+    causal_attention,
+    generate,
+    quantum_positional_encoding,
+    sinusoidal_table,
+)
 from .config import ARCHITECTURES, DISPLAY_NAMES, ModelConfig, default_config
 from .mlp import MlpModel
 from .qasa import QasaModel
@@ -32,6 +41,7 @@ __all__ = [
     "OVERALL_ORDER",
     "PER_DATASET_ORDER",
     "BaseModel",
+    "DecodeCache",
     "MlpModel",
     "ModelConfig",
     "Pack",

@@ -1,13 +1,23 @@
 """Components shared by every architecture: embeddings, positional tables,
-multi-head causal attention, the output head, and autoregressive decoding.
+multi-head causal attention, the output head, the decode cache, and
+autoregressive decoding.
 
-Every ``logits(token_ids, lengths)`` call runs one *pack*: the flat
+Every ``logits(token_ids, lengths, cache)`` call runs one *pack*: the flat
 concatenation of one or more sequences, ``lengths`` giving each segment's
 size.  A :class:`Pack` holds what the models need to keep the segments apart
 (packing without cross-contamination, Krell et al., arXiv:2107.02027):
 positions that restart in each segment, the segments' first rows, and one
 block-diagonal causal keep-mask shared by every attention layer.  A plain
 ``logits(token_ids)`` call is the one-segment case.
+
+A :class:`DecodeCache` lets one sequence be run a few ids at a time: a call
+with a cache runs only its new ids, at positions ``cache.length`` onwards,
+reads what the earlier calls left in the cache (attention keys and values,
+recurrent state) and extends it; the MLP alone runs the whole sequence
+again (see its module).  A call without a cache runs on an empty one, so a
+full-sequence call is the empty-cache case and every model has one forward
+path.  Caching keys and values for incremental decoding follows
+Shazeer, "Fast Transformer Decoding" (arXiv:1911.02150).
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ import numpy as np
 from ..numerics import (
     Rng,
     Tensor,
+    active_record,
     cos,
     derive_seed,
     init_bias,
@@ -37,6 +48,7 @@ EOS_ID = 2  # corpus convention: PAD=0, BOS=1, EOS=2, UNK=3
 __all__ = [
     "EOS_ID",
     "BaseModel",
+    "DecodeCache",
     "Pack",
     "causal_attention",
     "quantum_positional_encoding",
@@ -81,12 +93,15 @@ def quantum_positional_encoding(positions, d: int, omega: Tensor, phases: Tensor
 class Pack:
     """Row layout of one ``logits`` call: one segment of consecutive rows per sequence.
 
-    Built from the segment ``lengths``; each field is computed on first use,
-    since a model reads only the fields it needs.
+    Built from the segment ``lengths`` and ``past``, the number of positions a
+    decode cache already holds before the first row (0 without one; a cached
+    call has one segment).  Each field is computed on first use, since a model
+    reads only the fields it needs.
     """
 
-    def __init__(self, lengths):
+    def __init__(self, lengths, past: int = 0):
         self.lengths = np.asarray(lengths, dtype=np.intp)
+        self.past = past
 
     @cached_property
     def first_rows(self) -> np.ndarray:
@@ -95,19 +110,49 @@ class Pack:
 
     @cached_property
     def positions(self) -> np.ndarray:
-        """Per row, its position within its segment: 0 at each segment's first row."""
-        return np.arange(self.first_rows.size) - self.first_rows
+        """Per row, its position within its segment: ``past`` at each segment's first row."""
+        return np.arange(self.first_rows.size) - self.first_rows + self.past
 
     @cached_property
     def starts(self) -> np.ndarray:
-        """True at each segment's first row."""
+        """True where a sequence starts: at each segment's first row, unless it follows cached positions."""
         return self.positions == 0
 
     @cached_property
     def keep(self) -> np.ndarray:
-        """Block-diagonal causal keep-mask: row i attends to row j when both lie in one segment and j <= i."""
-        first = self.first_rows
-        return np.tri(first.size, dtype=bool) & (first[:, None] == first[None, :])
+        """(m, past + m) causal keep-mask: row i attends to every cached position and to row j <= i of its segment."""
+        first, past = self.first_rows, self.past
+        keep = np.tri(first.size, past + first.size, past, dtype=bool)
+        keep[:, past:] &= first[:, None] == first[None, :]
+        return keep
+
+
+class DecodeCache:
+    """What the calls on one sequence leave for the next call: its state after ``length`` positions.
+
+    ``state`` maps a name (layer prefix plus role) to a numpy array: rows that
+    every later position reads, such as attention keys and values, or a
+    recurrence's last row.  Its entries never belong to a tape.  A call that
+    :meth:`BaseModel.pack` accepts advances ``length`` before the forward
+    pass runs, so a call that fails after that (an id outside the
+    vocabulary) leaves the cache unusable.
+    """
+
+    def __init__(self):
+        self.length = 0
+        self.state: dict[str, np.ndarray] = {}
+
+    def extend(self, name: str, rows: Tensor) -> Tensor:
+        """The rows cached under ``name``, then ``rows``; the result becomes the cached rows.
+
+        Rows lie on the next-to-last axis: (m, w) rows, or an (h, m, w) stack
+        of head rows.  With nothing cached the result is ``rows`` itself.
+        """
+        past = self.state.get(name)
+        if past is not None:
+            rows = Tensor(np.concatenate([past, rows.data], axis=-2), copy=False)
+        self.state[name] = rows.data
+        return rows
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -120,18 +165,21 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float
     """Causally masked softmax(q k^T * scale + bias) v for every head at once.
 
     q, k and v are each (m, h*w) rows, column block a for head a, or an
-    (h, m, w) stack of head rows.  The heads are the batch axis of one
-    (h, m, m) score stack; ``bias`` is an optional additive term of that
+    (h, m, w) stack of head rows; k and v may hold more rows than q (the
+    cached positions before q's rows).  The heads are the batch axis of one
+    (h, m_q, m_k) score stack; ``bias`` is an optional additive term of that
     shape.  ``causal`` is True for one sequence or a pack's keep-mask
     (:class:`Pack`); it masks the scores with the bias added.  The result has
-    the layout of v.
+    one row per row of q, in the layout of v.
     """
     qh, kh, vh = (t if t.ndim == 3 else split_heads(t, n_heads) for t in (q, k, v))
-    scores = matmul(qh, transpose(kh, (0, 2, 1))) * scale
+    scores = matmul(qh, transpose(kh, (0, 2, 1)))
+    if scale != 1.0:
+        scores = scores * scale
     if bias is not None:
         scores = scores + bias
     out = matmul(masked_softmax_rows(scores, causal), vh)
-    return out if v.ndim == 3 else transpose(out, (1, 0, 2)).reshape(v.shape)
+    return out if v.ndim == 3 else transpose(out, (1, 0, 2)).reshape(out.shape[1], -1)
 
 
 class BaseModel:
@@ -187,16 +235,20 @@ class BaseModel:
         return embedding_lookup(self.embedding, token_ids)
 
     # -- interface -----------------------------------------------------------
-    def logits(self, token_ids, lengths=None) -> Tensor:
-        """Next-token logits for every row of a pack; ``lengths`` as for :meth:`pack`."""
+    def logits(self, token_ids, lengths=None, cache: DecodeCache | None = None) -> Tensor:
+        """Next-token logits for every row of a pack; ``lengths`` and ``cache`` as for :meth:`pack`."""
         raise NotImplementedError
 
-    def pack(self, token_ids, lengths=None) -> Pack:
+    def pack(self, token_ids, lengths=None, cache: DecodeCache | None = None) -> Pack:
         """The layout of a ``logits`` call on ``token_ids`` split into segments of ``lengths``.
 
-        ``lengths`` of None is one segment holding every id.  Raises
-        ValueError unless the lengths sum to ``len(token_ids)``, each is at
-        least 1, and none exceeds ``max_seq_len``.
+        ``lengths`` of None is one segment holding every id.  With a decode
+        ``cache`` the ids continue the one sequence it holds, at positions
+        ``cache.length`` onwards, and its length is advanced past them.
+        Raises ValueError unless the lengths sum to ``len(token_ids)``, each
+        is at least 1, and no sequence (cached positions included) exceeds
+        ``max_seq_len``; and when a cache is given with several segments or
+        while a ComputationRecord is active (cached rows never join a tape).
         """
         n = len(token_ids)
         lengths = [n] if lengths is None else [int(size) for size in lengths]
@@ -204,9 +256,17 @@ class BaseModel:
             raise ValueError(f"segment lengths sum to {sum(lengths)}, but {n} token ids were given")
         if min(lengths, default=0) < 1:
             raise ValueError("every segment needs at least one token id")
-        if max(lengths) > self.config.max_seq_len:
-            raise ValueError(f"sequence of length {max(lengths)} exceeds max_seq_len={self.config.max_seq_len}")
-        return Pack(lengths)
+        past = 0 if cache is None else cache.length
+        if past + max(lengths) > self.config.max_seq_len:
+            raise ValueError(f"sequence of length {past + max(lengths)} exceeds "
+                             f"max_seq_len={self.config.max_seq_len}")
+        if cache is not None:
+            if len(lengths) > 1:
+                raise ValueError(f"a decode cache holds one sequence, but {len(lengths)} segments were given")
+            if active_record() is not None:
+                raise ValueError("a decode cache cannot be used while a ComputationRecord is active")
+            cache.length += n
+        return Pack(lengths, past)
 
     # -- checkpoint support ---------------------------------------------------
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -232,7 +292,9 @@ def generate(model, prompt_ids, max_new: int, mode: str = "greedy", temperature:
     """Autoregressive decoding: greedy argmax or temperature sampling.
 
     Returns prompt plus generated ids; stops silently at EOS, ``max_new`` new
-    tokens, or the model's maximum context length.
+    tokens, or the model's maximum context length.  Decoding runs through one
+    :class:`DecodeCache`: the first ``logits`` call runs the prompt (the
+    prefill), and each later call runs only the token picked last.
     """
     if not prompt_ids:
         raise ValueError("prompt must be non-empty")
@@ -245,11 +307,11 @@ def generate(model, prompt_ids, max_new: int, mode: str = "greedy", temperature:
             raise ValueError("sampling temperature must be positive")
         if rng is None:
             raise ValueError("sampling requires a seeded Rng")
-    ids = list(prompt_ids)
+    ids, new, cache = list(prompt_ids), list(prompt_ids), DecodeCache()
     for _ in range(max_new):
         if len(ids) >= model.config.max_seq_len:
             break
-        row = model.logits(ids).data[-1]
+        row = model.logits(new, cache=cache).data[-1]
         if mode == "greedy":
             nxt = int(np.argmax(row))
         else:
@@ -260,4 +322,5 @@ def generate(model, prompt_ids, max_new: int, mode: str = "greedy", temperature:
         if nxt == eos_id:
             break
         ids.append(nxt)
+        new = [nxt]
     return ids

@@ -15,6 +15,10 @@ feeds a two-layer feed-forward decoder, then the shared output head.
 A pack of sequences is one block of rows: positions restart in each
 sequence, and the pack's block-diagonal keep-mask confines attention to each
 sequence's own prefix.  One sequence is the one-segment pack.
+
+A decode cache holds the key and value readouts, so a call with a cache runs
+the circuits of its new positions only (3 * h rows per position) and attends
+over the cached readouts plus its own.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from ..numerics import broadcast_rows, gelu, init_bias, init_circuit_params, init_weight, matmul
 from ..qsim import build_qasa_circuit, vqc_forward
-from .common import BaseModel, causal_attention
+from .common import BaseModel, DecodeCache, causal_attention
 
 
 class QasaModel(BaseModel):
@@ -48,14 +52,16 @@ class QasaModel(BaseModel):
         self.dec_b2 = self._param("decoder.b_2", init_bias(d))
         self._build_head()
 
-    def logits(self, token_ids, lengths=None):
-        pack = self.pack(token_ids, lengths)
+    def logits(self, token_ids, lengths=None, cache=None):
+        pack = self.pack(token_ids, lengths, cache)
+        cache = DecodeCache() if cache is None else cache
         m = len(token_ids)
         h, nq = self.config.n_heads, self.config.qasa_qubits
         # row t*h + a is head a's chunk of position t, run with head a's angles
         chunks = (self.embed(token_ids) + self.positional(pack.positions)).reshape(m * h, self.config.head_dim)
         q, k, v = (vqc_forward(self.spec, broadcast_rows(theta, m).reshape(m * h, self.spec.n_params), chunks)
                    .reshape(m, h * nq) for theta in (self.theta_q, self.theta_k, self.theta_v))
-        mixed = causal_attention(q, k, v, h, 1.0 / math.sqrt(nq), causal=pack.keep)
+        mixed = causal_attention(q, cache.extend("k", k), cache.extend("v", v), h, 1.0 / math.sqrt(nq),
+                                 causal=pack.keep)
         decoded = matmul(gelu(matmul(mixed, self.dec_w1) + self.dec_b1), self.dec_w2) + self.dec_b2
         return self.lm_head(decoded)

@@ -20,6 +20,10 @@ A pack of sequences is one block of rows: positions restart in each
 sequence, and the pack's block-diagonal keep-mask masks the scores with the
 kernel bias added, so no row weighs another sequence's kernel entries.  One
 sequence is the one-segment pack.
+
+A decode cache holds, per block, every head's key rows, their feature map
+phi(k) and the gated values, so a call with a cache maps and gates only its
+new rows and scores them against the cached rows plus its own.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from ..numerics import (
     transpose,
 )
 from ..numerics.tensor import exp as t_exp
-from .common import BaseModel, causal_attention, split_heads
+from .common import BaseModel, DecodeCache, causal_attention, split_heads
 
 SCORE_EPS = 1e-6  # floor inside log(kernel + eps)
 
@@ -79,7 +83,7 @@ class QksanBlock:
     def __init__(self, model: BaseModel, index: int):
         cfg = model.config
         d, ff = cfg.d_model, cfg.d_ff
-        p = f"block{index}."
+        p = self.prefix = f"block{index}."
         rng = model.rng
         add = model._param
         heads = [_draw_head(rng, d, cfg.head_dim, cfg.quantum_features) for _ in range(cfg.n_heads)]
@@ -115,28 +119,31 @@ class QksanBlock:
         self.ln2_g = add(p + "ln2.gain", init_bias(d) + 1.0)
         self.ln2_b = add(p + "ln2.shift", init_bias(d))
 
-    def attention(self, x: Tensor, keep) -> Tensor:
-        """Every head's kernel attention over the rows of x, as an (h, m, head_dim) stack.
+    def attention(self, x: Tensor, keep, cache: DecodeCache) -> Tensor:
+        """Every head's kernel attention of the rows of x, as an (h, m, head_dim) stack.
 
-        ``keep`` is the causal keep-mask of the call's pack (``Pack.keep``).
+        ``keep`` is the causal keep-mask of the call's pack (``Pack.keep``);
+        the rows attend over the keys, features and gated values in
+        ``cache``, which this call extends with its own.
         """
-        h = self.mu.shape[0]
+        h, p = self.mu.shape[0], self.prefix
         q, k, v = (split_heads(matmul(x, w) + b, h)
                    for w, b in ((self.w_q, self.b_q), (self.w_k, self.b_k), (self.w_v, self.b_v)))
-        gamma = matmul(feature_map(q, self), transpose(feature_map(k, self), (0, 2, 1)))
+        gamma = matmul(feature_map(q, self), transpose(cache.extend(p + "phi_k", feature_map(k, self)), (0, 2, 1)))
         # the cosine bank can make individual kernel entries negative even
         # though each head's Gram matrix is PSD; clamp before the log
         bias = log(relu(gamma) + SCORE_EPS)
         gate = (sigmoid(matmul(feature_map(v, self), self.u_v) + self.c_v)
                 * cos(matmul(v, transpose(self.w_omega, (0, 2, 1))) + self.b_omega))
-        return causal_attention(q, k, v * gate, h, 1.0 / math.sqrt(q.shape[2]), bias, keep)
+        return causal_attention(q, cache.extend(p + "k", k), cache.extend(p + "gated_v", v * gate), h,
+                                1.0 / math.sqrt(q.shape[2]), bias, keep)
 
-    def multi_head(self, x: Tensor, keep) -> Tensor:
-        mixed = transpose(self.attention(x, keep), (1, 0, 2)).reshape(x.shape[0], -1)
+    def multi_head(self, x: Tensor, keep, cache: DecodeCache) -> Tensor:
+        mixed = transpose(self.attention(x, keep, cache), (1, 0, 2)).reshape(x.shape[0], -1)
         return matmul(mixed, self.w_o) + self.b_o
 
-    def forward(self, x: Tensor, keep) -> Tensor:
-        y = self.multi_head(x, keep)
+    def forward(self, x: Tensor, keep, cache: DecodeCache) -> Tensor:
+        y = self.multi_head(x, keep, cache)
         gate = sigmoid(matmul(x, self.w_gate_s) + self.b_gate_s) * cos(matmul(x, self.w_gate_c) + self.b_gate_c)
         enhanced = relu(matmul(y, self.w_gate_y) + self.b_gate_y) * gate
         z1 = layer_norm(x + enhanced, self.ln1_g, self.ln1_b)
@@ -155,9 +162,10 @@ class QksanModel(BaseModel):
         self.blocks = [QksanBlock(self, i) for i in range(config.n_blocks)]
         self._build_head()
 
-    def logits(self, token_ids, lengths=None):
-        pack = self.pack(token_ids, lengths)
+    def logits(self, token_ids, lengths=None, cache=None):
+        pack = self.pack(token_ids, lengths, cache)
+        cache = DecodeCache() if cache is None else cache
         x = self.embed(token_ids) + self.positional(pack.positions)
         for block in self.blocks:
-            x = block.forward(x, pack.keep)
+            x = block.forward(x, pack.keep, cache)
         return self.lm_head(x)

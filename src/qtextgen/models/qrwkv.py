@@ -21,6 +21,12 @@ This is RWKV's parallel mode: the circuit runs for every position in one
 simulator call, the memory (the only recurrence) is one ``decay_scan``, and
 rows t-1 come from a row shift with a zero first row.
 
+With a decode cache it is also RWKV's recurrent mode (Peng et al.,
+arXiv:2305.13048): per layer the cache holds the last memory row m_(t-1),
+the last channel-mix activation h_(t-1) and the measurement-attention key and
+value rows, so a call runs only its new positions, carrying m and h into
+their first row.
+
 A pack of sequences is one block of rows.  Positions restart in each
 sequence; the memory scan and the row shift restart at each sequence's first
 row, and the pack's block-diagonal keep-mask confines the measurement
@@ -50,16 +56,21 @@ from ..numerics import (
 from ..numerics.tensor import exp as t_exp
 from ..numerics.tensor import neg as t_neg
 from ..qsim import build_qrwkv_circuit, vqc_forward
-from .common import BaseModel, Pack, causal_attention
+from .common import BaseModel, DecodeCache, Pack, causal_attention
 
 
-def previous_rows(x: Tensor, starts) -> Tensor:
+def previous_rows(x: Tensor, starts, carry=None) -> Tensor:
     """Row t of the result is row t-1 of x; the rows flagged in ``starts`` are zero.
 
     A zero row is the state before a sequence; ``starts`` flags the first row
-    of every segment of a pack (``Pack.starts``).
+    of every segment of a pack (``Pack.starts``).  ``carry``, an optional
+    constant (d,) array, is row -1 of x: what row 0 reads when it does not
+    restart.
     """
-    return x[np.maximum(np.arange(x.shape[0]) - 1, 0)] * Tensor(~starts[:, None])
+    rows = np.arange(x.shape[0]) - 1
+    if carry is not None:
+        x, rows = concat([Tensor(np.asarray(carry)[None, :]), x]), rows + 1
+    return x[np.maximum(rows, 0)] * Tensor(~starts[:, None])
 
 
 class QrwkvLayer:
@@ -71,7 +82,7 @@ class QrwkvLayer:
         self.spec = build_qrwkv_circuit(nq)
         self.n_trainable_angles = self.spec.n_params - nq
         amp_dim = 2 ** nq
-        p = f"layer{index}."
+        p = self.prefix = f"layer{index}."
         rng = model.rng
         add = model._param
         # time mixing
@@ -109,14 +120,15 @@ class QrwkvLayer:
         # lambda = exp(-dt/tau) with dt = 1 and tau = exp(log_tau)
         return t_exp(t_neg(t_exp(t_neg(self.log_tau))))
 
-    def time_mix(self, x: Tensor, starts):
+    def time_mix(self, x: Tensor, starts, carry=None):
         """Receptance-gated decayed memory for every row of x; returns (y_time, memory m).
 
-        The memory restarts at the rows flagged in ``starts``.
+        The memory restarts at the rows flagged in ``starts``; ``carry`` is
+        an optional memory row m_(-1) from positions run before x.
         """
         u = matmul(x, self.w_key)
-        mem = decay_scan(matmul(x, self.w_value), self.decay(), starts)
-        r = sigmoid(matmul(concat([x, previous_rows(mem, starts)], axis=1), self.w_recept) + self.b_recept)
+        mem = decay_scan(matmul(x, self.w_value), self.decay(), starts, carry)
+        r = sigmoid(matmul(concat([x, previous_rows(mem, starts, carry)], axis=1), self.w_recept) + self.b_recept)
         return r * (u * mem), mem
 
     def circuit_readout(self, x: Tensor) -> Tensor:
@@ -130,24 +142,32 @@ class QrwkvLayer:
         full_params = concat([angles, broadcast_rows(self.theta, x.shape[0])], axis=1)
         return vqc_forward(self.spec, full_params, amp_in)
 
-    def channel_mix(self, x: Tensor, qemb: Tensor, starts):
+    def channel_mix(self, x: Tensor, qemb: Tensor, starts, carry=None):
         """Channel mixing of every row of x with its projected circuit readout ``qemb``; returns (c, h).
 
-        Row t mixes with row t-1, and with zeros at the rows flagged in ``starts``.
+        Row t mixes with row t-1, and with zeros at the rows flagged in
+        ``starts``; ``carry`` is an optional row h_(-1) from positions run
+        before x.
         """
         mlp = matmul(gelu(matmul(x, self.w_ffa) + self.b_ffa), self.w_ffb) + self.b_ffb
         z = matmul(qemb, self.w_mix1) + matmul(mlp, self.w_mix2) + self.b_mix1
         h = gelu(z)
-        c = matmul(h * previous_rows(h, starts), self.w_mix3) + self.b_mix2
+        c = matmul(h * previous_rows(h, starts, carry), self.w_mix3) + self.b_mix2
         return c, h
 
-    def forward(self, x: Tensor, pack: Pack) -> Tensor:
-        """The layer over the rows of x, laid out as ``pack``."""
+    def forward(self, x: Tensor, pack: Pack, cache: DecodeCache) -> Tensor:
+        """The layer over the rows of x, laid out as ``pack``, after the positions held in ``cache``.
+
+        Leaves in ``cache`` the last memory and channel-mix rows and every
+        measurement-attention key and value row.
+        """
+        p, state = self.prefix, cache.state
         readout = self.circuit_readout(x)
-        y_time, _ = self.time_mix(x, pack.starts)
-        c, _ = self.channel_mix(x, matmul(readout, self.w_emb), pack.starts)
-        y_attn = causal_attention(matmul(readout, self.w_q), matmul(readout, self.w_k),
-                                  matmul(readout, self.w_v), 1, 1.0, causal=pack.keep)
+        y_time, mem = self.time_mix(x, pack.starts, state.get(p + "mem"))
+        c, h_mix = self.channel_mix(x, matmul(readout, self.w_emb), pack.starts, state.get(p + "h"))
+        state[p + "mem"], state[p + "h"] = mem.data[-1], h_mix.data[-1]
+        y_attn = causal_attention(matmul(readout, self.w_q), cache.extend(p + "k", matmul(readout, self.w_k)),
+                                  cache.extend(p + "v", matmul(readout, self.w_v)), 1, 1.0, causal=pack.keep)
         h = layer_norm(x + y_time, self.ln1_g, self.ln1_b)
         return layer_norm(h + c + y_attn, self.ln2_g, self.ln2_b)
 
@@ -162,9 +182,10 @@ class QrwkvModel(BaseModel):
         self.layers = [QrwkvLayer(self, i) for i in range(config.n_blocks)]
         self._build_head()
 
-    def logits(self, token_ids, lengths=None):
-        pack = self.pack(token_ids, lengths)
+    def logits(self, token_ids, lengths=None, cache=None):
+        pack = self.pack(token_ids, lengths, cache)
+        cache = DecodeCache() if cache is None else cache
         x = self.embed(token_ids) + self.positional(pack.positions)
         for layer in self.layers:
-            x = layer.forward(x, pack)
+            x = layer.forward(x, pack, cache)
         return self.lm_head(x)

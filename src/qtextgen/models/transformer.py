@@ -5,6 +5,9 @@ A pack of sequences runs as one block of rows: each row reads the table row
 of its position within its own sequence, and the pack's block-diagonal
 keep-mask confines every attention row to its own sequence's prefix.  One
 sequence is the one-segment pack.
+
+A decode cache holds each block's key and value rows, so a call with a cache
+runs only its new rows and attends over the cached rows plus its own.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 
 from ..numerics import Tensor, init_bias, init_weight, layer_norm, matmul, relu
-from .common import BaseModel, causal_attention, sinusoidal_table
+from .common import BaseModel, DecodeCache, causal_attention, sinusoidal_table
 
 
 class TransformerModel(BaseModel):
@@ -48,15 +51,16 @@ class TransformerModel(BaseModel):
         self.final_b = self._param("final_ln.shift", init_bias(d))
         self._build_head()
 
-    def logits(self, token_ids, lengths=None) -> Tensor:
-        pack = self.pack(token_ids, lengths)
+    def logits(self, token_ids, lengths=None, cache=None) -> Tensor:
+        pack = self.pack(token_ids, lengths, cache)
+        cache = DecodeCache() if cache is None else cache
         h, scale = self.config.n_heads, 1.0 / math.sqrt(self.config.head_dim)
         x = self.embed(token_ids) + Tensor(self._pos_table[pack.positions])
-        for blk in self.blocks:
+        for i, blk in enumerate(self.blocks):
             a = layer_norm(x, blk["ln1_g"], blk["ln1_b"])
             q = matmul(a, blk["w_q"]) + blk["b_q"]
-            k = matmul(a, blk["w_k"]) + blk["b_k"]
-            v = matmul(a, blk["w_v"]) + blk["b_v"]
+            k = cache.extend(f"block{i}.k", matmul(a, blk["w_k"]) + blk["b_k"])
+            v = cache.extend(f"block{i}.v", matmul(a, blk["w_v"]) + blk["b_v"])
             x = x + (matmul(causal_attention(q, k, v, h, scale, causal=pack.keep), blk["w_o"]) + blk["b_o"])
             b = layer_norm(x, blk["ln2_g"], blk["ln2_b"])
             x = x + (matmul(relu(matmul(b, blk["w_1"]) + blk["b_1"]), blk["w_2"]) + blk["b_2"])

@@ -38,13 +38,12 @@ def derive_seed(seed: int, *labels) -> int:
 
 
 class Rng:
-    """xoshiro256** stream; ``position`` counts raw 64-bit draws."""
+    """xoshiro256** stream."""
 
     algorithm = "xoshiro256**"
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK
-        self.position = 0
         s, x = [], self.seed
         for _ in range(4):
             out, x = splitmix64(x)
@@ -62,7 +61,6 @@ class Rng:
         s2 ^= t
         s3 = _rotl(s3, 45)
         self._s = [s0, s1, s2, s3]
-        self.position += 1
         return result
 
     def random(self) -> float:

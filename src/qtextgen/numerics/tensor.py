@@ -416,12 +416,14 @@ def broadcast_rows(a, n: int):
     return record_op(out, (a,), lambda g: (g.sum(axis=0),))
 
 
-def decay_scan(v, lam, starts=None):
+def decay_scan(v, lam, starts=None, carry=None):
     """Decayed running sum down the (T, d) rows of v: out[t] = lam * out[t-1] + v[t].
 
     The sum restarts (out[t-1] taken as 0) at row 0 and at every row flagged
     in the optional (T,) boolean ``starts``: the first rows of a pack's
-    segments.  Backward is the reverse sweep a[t] = g[t] + lam * a[t+1], with
+    segments.  ``carry``, an optional constant (d,) array, is out[-1] for a
+    row 0 that does not restart: the sum carried over from earlier rows run
+    before.  Backward is the reverse sweep a[t] = g[t] + lam * a[t+1], with
     a[t+1] taken as 0 where row t+1 restarts: dv = a, dlam = sum over the
     rows t that carry of a[t] * out[t-1].
     """
@@ -431,7 +433,7 @@ def decay_scan(v, lam, starts=None):
     restart = np.arange(v.shape[0]) == 0 if starts is None else np.asarray(starts, dtype=bool)
     if restart.shape != (v.shape[0],):
         raise ValueError(f"decay_scan starts must have shape ({v.shape[0]},), got {restart.shape}")
-    data, acc = np.empty_like(v.data), 0.0
+    data, acc = np.empty_like(v.data), 0.0 if carry is None else np.asarray(carry, dtype=np.float64)
     for t in range(v.shape[0]):
         if restart[t]:
             acc = 0.0
@@ -443,7 +445,8 @@ def decay_scan(v, lam, starts=None):
             a[t] = acc = g[t] + lam.data * acc
             if restart[t]:
                 acc = 0.0
-        return a, np.where(restart[1:, None], 0.0, a[1:] * data[:-1]).sum(axis=0)
+        dlam = np.where(restart[1:, None], 0.0, a[1:] * data[:-1]).sum(axis=0)
+        return a, dlam if carry is None or restart[0] else dlam + a[0] * carry
 
     return record_op(Tensor(data, copy=False), (v, lam), bw)
 

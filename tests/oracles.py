@@ -411,3 +411,23 @@ def mlp_logits_reference(model, token_ids) -> np.ndarray:
         rows.append(np.concatenate([emb[j] if j >= 0 else np.zeros(d) for j in range(t - w + 1, t + 1)]))
     hidden = _gelu(np.array(rows) @ model.w_1.data + model.b_1.data)
     return hidden @ model.w_2.data + model.b_2.data
+
+
+def generate_reference(model, prompt_ids, max_new: int, mode: str = "greedy", temperature: float = 1.0,
+                       rng=None, eos_id: int = 2) -> list[int]:
+    """Decoding without a cache: every step re-runs the whole prefix and reads its last row."""
+    ids = list(prompt_ids)
+    for _ in range(max_new):
+        if len(ids) >= model.config.max_seq_len:
+            break
+        row = model.logits(ids).data[-1]
+        if mode == "greedy":
+            nxt = int(np.argmax(row))
+        else:
+            z = row / temperature
+            p = np.exp(z - z.max())
+            nxt = rng.choice_weighted(p / p.sum())
+        if nxt == eos_id:
+            break
+        ids.append(nxt)
+    return ids

@@ -80,6 +80,10 @@ def _rand(*shape):
      [_rand(4, 2), 0.99 + 0.005 * _rand(2)]),                                                      # last row restarts
     (lambda v, lam: decay_scan(v, lam, np.ones(4, dtype=bool)), [_rand(4, 3), 0.5 + 0.3 * _rand(3)]),  # every row
     (lambda a: broadcast_rows(a, 3), [_rand(2, 4)]),                                             # a 2-D stack
+    (lambda v, lam: decay_scan(v, lam, np.array([False, False, True, False]), np.array([0.4, -1.1, 0.7])),
+     [_rand(4, 3), 0.5 + 0.3 * _rand(3)]),                                                         # carried row
+    (lambda q, k, v: causal_attention(q, k, v, 2, 0.7, causal=np.tri(2, 5, 3, dtype=bool)),
+     [_rand(2, 6), _rand(5, 6), _rand(5, 4)]),                                                    # 3 cached rows
 ])
 def test_primitive_gradients(fn, arrays):
     assert op_grad_check(fn, arrays) < TOL
@@ -129,6 +133,14 @@ def test_decay_scan_restarts_match_separate_scans():
     joined = decay_scan(Tensor(v), Tensor(lam), starts).data
     for rows in (slice(0, 3), slice(3, 4), slice(4, 7)):
         np.testing.assert_array_equal(joined[rows], decay_scan(Tensor(v[rows]), Tensor(lam)).data)
+
+
+def test_decay_scan_carry_continues_the_scan():
+    rng = np.random.default_rng(9)
+    v, lam = rng.normal(size=(7, 3)), rng.uniform(0.1, 0.9, 3)
+    whole = decay_scan(Tensor(v), Tensor(lam)).data
+    rest = decay_scan(Tensor(v[4:]), Tensor(lam), np.zeros(3, dtype=bool), whole[3]).data
+    np.testing.assert_array_equal(rest, whole[4:])
 
 
 def test_cross_entropy_gradient():

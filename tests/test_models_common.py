@@ -5,11 +5,13 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtextgen.models import (
     ARCHITECTURES,
+    EOS_ID,
+    DecodeCache,
     build_model,
     causal_attention,
     default_config,
@@ -18,7 +20,7 @@ from qtextgen.models import (
     sinusoidal_table,
 )
 from qtextgen.numerics import ComputationRecord, Rng, Tensor, concat, cross_entropy, matmul
-from oracles import head_view, initial_head_draws, per_head_attention_reference
+from oracles import generate_reference, head_view, initial_head_draws, per_head_attention_reference
 
 
 def classical_attention(q, k, v):
@@ -153,7 +155,7 @@ class _ForcedModel:
         self.favorite = favorite
         self.config = default_config("mlp", vocab_size=vocab_size, max_seq_len=10)
 
-    def logits(self, ids):
+    def logits(self, ids, cache=None):
         row = np.zeros((len(ids), self.vocab_size))
         row[:, self.favorite] = 5.0
         return Tensor(row)
@@ -280,6 +282,87 @@ class TestPacking:
             model.logits([1, 2, 3], [3, 0])
         with pytest.raises(ValueError, match="exceeds max_seq_len"):
             model.logits(list(range(1, _PACK_MAX_LEN + 3)), [1, _PACK_MAX_LEN + 1])
+
+
+_CACHE_VOCAB, _CACHE_MAX_LEN = 13, 12
+_WIDE = dict(d_model=64, d_ff=128, circuit_layers=4, qrwkv_qubits=6)
+
+
+@lru_cache(maxsize=None)
+def _cache_model(arch, wide):
+    return build_model(default_config(arch, vocab_size=_CACHE_VOCAB, max_seq_len=_CACHE_MAX_LEN, seed=8,
+                                      **(_WIDE if wide else {})))
+
+
+class TestDecodeCache:
+    @pytest.mark.parametrize("wide", [False, True], ids=["default", "widened"])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @settings(max_examples=8)
+    @given(ids=st.lists(st.integers(0, _CACHE_VOCAB - 1), min_size=2, max_size=_CACHE_MAX_LEN), data=st.data())
+    def test_prefill_then_short_calls_match_one_full_call(self, arch, wide, ids, data):
+        # one-token calls as in generate, or calls of up to 3 ids
+        model = _cache_model(arch, wide)
+        prefill, step = data.draw(st.integers(1, len(ids) - 1)), data.draw(st.sampled_from([1, 3]))
+        cache = DecodeCache()
+        rows = [model.logits(ids[:prefill], cache=cache).data]
+        rows += [model.logits(ids[i:i + step], cache=cache).data for i in range(prefill, len(ids), step)]
+        full = model.logits(ids).data
+        assert cache.length == len(ids)
+        np.testing.assert_allclose(np.concatenate(rows), full, rtol=0, atol=1e-12 * np.abs(full).max())
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_empty_cache_call_is_bit_identical(self, arch):
+        model = _cache_model(arch, False)
+        for ids in ([4], [1, 5, 2, 9], list(range(_CACHE_MAX_LEN))):
+            assert model.logits(ids, cache=DecodeCache()).data.tobytes() == model.logits(ids).data.tobytes()
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["default", "widened"])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_generate_matches_the_rerun_reference(self, arch, wide):
+        model = _cache_model(arch, wide)
+        for seed, prompt in enumerate(([1], [1, 7], [3, 9, 4, 11], [2, 5, 6, 8, 10, 12, 1])):
+            for eos_id in (EOS_ID, -1):  # -1: no id ends decoding, so it runs to max_seq_len
+                assert (generate(model, prompt, max_new=20, eos_id=eos_id)
+                        == generate_reference(model, prompt, max_new=20, eos_id=eos_id))
+                for temperature in (0.7, 1.5):
+                    kwargs = dict(max_new=20, mode="sample", temperature=temperature, eos_id=eos_id)
+                    assert (generate(model, prompt, rng=Rng(seed), **kwargs)
+                            == generate_reference(model, prompt, rng=Rng(seed), **kwargs))
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_cache_of_a_prefix_does_not_change_with_later_tokens(self, arch):
+        # criterion 7 for cached calls
+        model, rng = _cache_model(arch, False), Rng(99)
+        for _ in range(20):
+            length = 3 + rng.randrange(_CACHE_MAX_LEN - 2)
+            cut = 1 + rng.randrange(length - 1)
+            ids = [rng.randrange(_CACHE_VOCAB) for _ in range(length)]
+            for seq in (ids, ids[:cut] + [rng.randrange(_CACHE_VOCAB) for _ in range(length - cut)]):
+                cache = DecodeCache()
+                model.logits(seq[:cut], cache=cache)
+                at_cut = dict(cache.state)
+                copies = {name: a.copy() for name, a in at_cut.items()}
+                for t in seq[cut:]:
+                    model.logits([t], cache=cache)
+                for name, held in at_cut.items():
+                    assert held.tobytes() == copies[name].tobytes(), name  # nothing wrote into a held array
+                    if held.ndim > 1 and cache.state[name].shape != held.shape:  # rows kept for every position
+                        assert cache.state[name][..., :cut, :].tobytes() == held.tobytes(), name
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_bad_cached_calls_rejected(self, arch):
+        model = _cache_model(arch, False)
+        cache = DecodeCache()
+        model.logits(list(range(1, _CACHE_MAX_LEN)), cache=cache)
+        with pytest.raises(ValueError, match=f"length {_CACHE_MAX_LEN + 1} exceeds max_seq_len"):
+            model.logits([1, 2], cache=cache)
+        with pytest.raises(ValueError, match="one sequence, but 2 segments"):
+            model.logits([1, 2, 3], [1, 2], cache=DecodeCache())
+        with ComputationRecord():
+            with pytest.raises(ValueError, match="ComputationRecord"):
+                model.logits([1], cache=cache)
+        assert cache.length == _CACHE_MAX_LEN - 1  # a rejected call leaves the cache as it was
+        model.logits([1], cache=cache)
 
 
 class TestHeadStacks:

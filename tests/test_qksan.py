@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qtextgen.models import build_model, default_config
 from qtextgen.models.qksan import SCORE_EPS, feature_map
-from qtextgen.models.common import Pack
+from qtextgen.models.common import DecodeCache, Pack
 from qtextgen.numerics import ComputationRecord, Tensor, masked_softmax_rows
 from oracles import head_view, model_grad_check, qksan_head_reference, qksan_multi_head_reference
 
@@ -81,20 +81,20 @@ class TestAttentionHead:
         shifted = masked_softmax_rows(Tensor(combined), causal=True).data
         np.testing.assert_allclose(shifted, classical, atol=1e-12)
         # and the head output equals the scalar oracle under the same params
-        out = block.attention(Tensor(x), Pack([3]).keep).data[0]
+        out = block.attention(Tensor(x), Pack([3]).keep, DecodeCache()).data[0]
         np.testing.assert_allclose(out, qksan_head_reference(x, head), atol=1e-10)
 
     def test_single_token_returns_gated_value_row(self):
         block, head = _block_and_head(seed=5)
         x = Tensor(np.random.default_rng(2).normal(size=(1, 8)))
-        out = block.attention(x, Pack([1]).keep).data[0]
+        out = block.attention(x, Pack([1]).keep, DecodeCache()).data[0]
         ref = qksan_head_reference(x.data, head)
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_three_token_instance_matches_scalar_oracle(self):
         block, head = _block_and_head(seed=6)
         x = np.random.default_rng(3).normal(size=(3, 8))
-        out = block.attention(Tensor(x), Pack([3]).keep).data[0]
+        out = block.attention(Tensor(x), Pack([3]).keep, DecodeCache()).data[0]
         np.testing.assert_allclose(out, qksan_head_reference(x, head), atol=1e-10)
 
 
@@ -109,7 +109,8 @@ class TestMultiHead:
         rng = np.random.default_rng(seed)
         x, probe = rng.normal(size=(m, n_heads * width)), rng.normal(size=(m, n_heads * width))
         results = []
-        for attend in (lambda t: block.multi_head(t, Pack([m]).keep), lambda t: qksan_multi_head_reference(block, t)):
+        for attend in (lambda t: block.multi_head(t, Pack([m]).keep, DecodeCache()),
+                       lambda t: qksan_multi_head_reference(block, t)):
             inputs = Tensor(x)
             with ComputationRecord() as rec:
                 out = attend(inputs)
@@ -193,7 +194,7 @@ class TestBlock:
         # run the block far enough to read z1: disable the ffn the same way
         block.w_1.data[...] = 0.0
         block.b_1.data[...] = 0.0
-        out = block.forward(Tensor(x), Pack([3]).keep).data
+        out = block.forward(Tensor(x), Pack([3]).keep, DecodeCache()).data
         # with F_q = 0 and ffn hidden = 0, output is LN(LN(x))
         z1 = z1_expect
         z2 = (z1 - z1.mean(axis=1, keepdims=True)) / np.sqrt(z1.var(axis=1) + 1e-5)[:, None]

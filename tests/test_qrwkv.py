@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtextgen.models import Pack, build_model, causal_attention, default_config
+from qtextgen.models import DecodeCache, Pack, build_model, causal_attention, default_config
 from qtextgen.numerics import Tensor, matmul
 from oracles import model_grad_check, qrwkv_layer_reference
 
@@ -129,8 +129,8 @@ class TestFullLayer:
         for p in model.parameters().values():
             p.data[...] = 0.0
         x = Tensor(np.zeros((3, model.config.d_model)))
-        a = layer.forward(x, Pack([3])).data
-        b = layer.forward(x, Pack([3])).data
+        a = layer.forward(x, Pack([3]), DecodeCache()).data
+        b = layer.forward(x, Pack([3]), DecodeCache()).data
         assert np.isfinite(a).all()
         np.testing.assert_array_equal(a, b)
 
@@ -151,8 +151,8 @@ class TestParallelMatchesRecurrent:
         model = _model(seed=seed % 1000)
         layer = model.layers[0]
         x = np.random.default_rng(seed).normal(size=(length, model.config.d_model))
-        np.testing.assert_allclose(layer.forward(Tensor(x), Pack([length])).data, qrwkv_layer_reference(layer, x),
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(layer.forward(Tensor(x), Pack([length]), DecodeCache()).data,
+                                   qrwkv_layer_reference(layer, x), rtol=0, atol=1e-12)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.data())
     def test_changing_a_row_leaves_earlier_rows_bit_identical(self, seed, length, data):
@@ -163,7 +163,7 @@ class TestParallelMatchesRecurrent:
         t = data.draw(st.integers(0, length - 1))
         changed = x.copy()
         changed[t] = rng.normal(size=model.config.d_model)
-        a = layer.forward(Tensor(x), Pack([length])).data
-        b = layer.forward(Tensor(changed), Pack([length])).data
+        a = layer.forward(Tensor(x), Pack([length]), DecodeCache()).data
+        b = layer.forward(Tensor(changed), Pack([length]), DecodeCache()).data
         np.testing.assert_array_equal(a[:t], b[:t])
         assert not np.array_equal(a[t], b[t])

@@ -37,13 +37,6 @@ def test_different_seeds_differ():
     assert [a.next_uint64() for _ in range(8)] != [b.next_uint64() for _ in range(8)]
 
 
-def test_position_counts_draws():
-    rng = Rng(7)
-    rng.random()
-    rng.uniform(0, 1, (3,))
-    assert rng.position == 4
-
-
 def test_random_in_unit_interval():
     rng = Rng(3)
     vals = [rng.random() for _ in range(1000)]
